@@ -67,19 +67,33 @@ def _split(x):
     return (x[..., 0], x[..., 1], x[..., 2], x[..., 3], x[..., 4], x[..., 5])
 
 
-def _map_cols(sx, sy, sz, lx, ly, lz, p: ClassicalParams, renormalize=True):
-    """Kernel for one kick on component arrays (any matching shapes)."""
-    ca, sa = np.cos(p.a), np.sin(p.a)
-    alpha = (p.gamma * p.r) * lx   # x-rotation angle of S, from pre-kick Lx
-    beta = p.gamma * sx            # x-rotation angle of L, from pre-kick Sx
+def _x_rotations(sx, sy, sz, lx, ly, lz, p: ClassicalParams):
+    """The kick's x-rotations, with both angles from the pre-kick components.
+
+    Returns ``(cal, sal, cbe, sbe, syr, szr, lyr, lzr)``: cos/sin of the
+    S angle gamma r Lx and of the L angle gamma Sx, and the rotated (y, z)
+    components of S and L.
+    """
+    alpha = (p.gamma * p.r) * lx
+    beta = p.gamma * sx
     cal, sal = np.cos(alpha), np.sin(alpha)
     cbe, sbe = np.cos(beta), np.sin(beta)
+    return (
+        cal, sal, cbe, sbe,
+        sy * cal - sz * sal, sz * cal + sy * sal,
+        ly * cbe - lz * sbe, lz * cbe + ly * sbe,
+    )
 
-    syr = sy * cal - sz * sal
-    szr = sz * cal + sy * sal
-    lyr = ly * cbe - lz * sbe
-    lzr = lz * cbe + ly * sbe
 
+def _map_cols(sx, sy, sz, lx, ly, lz, p: ClassicalParams, renormalize=True, rot=None):
+    """Kernel for one kick on component arrays (any matching shapes).
+
+    ``rot`` is this state's :func:`_x_rotations`, if the caller already has it.
+    """
+    if rot is None:
+        rot = _x_rotations(sx, sy, sz, lx, ly, lz, p)
+    syr, szr, lyr, lzr = rot[4:]
+    ca, sa = np.cos(p.a), np.sin(p.a)
     nsx = sx * ca - syr * sa
     nsy = syr * ca + sx * sa
     nlx = lx * ca - lyr * sa
@@ -175,17 +189,9 @@ def tangent_map(x, p: ClassicalParams):
     on the spin spheres it coincides with the physical tangent dynamics.
     """
     x = np.asarray(x, dtype=float)
-    sx, sy, sz, lx, ly, lz = _split(x)
     ca, sa = np.cos(p.a), np.sin(p.a)
     gr = p.gamma * p.r
-    alpha = gr * lx
-    beta = p.gamma * sx
-    cal, sal = np.cos(alpha), np.sin(alpha)
-    cbe, sbe = np.cos(beta), np.sin(beta)
-    syr = sy * cal - sz * sal
-    szr = sz * cal + sy * sal
-    lyr = ly * cbe - lz * sbe
-    lzr = lz * cbe + ly * sbe
+    cal, sal, cbe, sbe, syr, szr, lyr, lzr = _x_rotations(*_split(x), p)
 
     m = np.zeros(x.shape[:-1] + (6, 6))
     # S' rows
@@ -215,18 +221,15 @@ def tangent_map(x, p: ClassicalParams):
     return m
 
 
-def _tangent_apply_cols(state_cols, v_cols, p: ClassicalParams):
-    """Apply the tangent map at `state_cols` to displacement columns, no 6x6 build."""
-    sx, sy, sz, lx, ly, lz = state_cols
+def _tangent_apply_cols(rot, v_cols, p: ClassicalParams):
+    """Apply the tangent map to displacement columns, no 6x6 build.
+
+    ``rot`` is the :func:`_x_rotations` of the state the map is linearized at.
+    """
+    cal, sal, cbe, sbe, syr, szr, lyr, lzr = rot
     dsx, dsy, dsz, dlx, dly, dlz = v_cols
     ca, sa = np.cos(p.a), np.sin(p.a)
     gr = p.gamma * p.r
-    cal, sal = np.cos(gr * lx), np.sin(gr * lx)
-    cbe, sbe = np.cos(p.gamma * sx), np.sin(p.gamma * sx)
-    syr = sy * cal - sz * sal
-    szr = sz * cal + sy * sal
-    lyr = ly * cbe - lz * sbe
-    lzr = lz * cbe + ly * sbe
 
     dsyr = dsy * cal - dsz * sal - gr * szr * dlx
     dszr = dsz * cal + dsy * sal + gr * syr * dlx
@@ -247,7 +250,7 @@ def tangent_apply(x, v, p: ClassicalParams):
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     out = np.empty(np.broadcast_shapes(x.shape, v.shape))
-    cols = _tangent_apply_cols(_split(x), _split(v), p)
+    cols = _tangent_apply_cols(_x_rotations(*_split(x), p), _split(v), p)
     for i in range(6):
         out[..., i] = cols[i]
     return out
@@ -344,8 +347,9 @@ def lyapunov_exponent(x0, p: ClassicalParams, n_steps: int, renorm_every: int = 
     log_sum = np.zeros(b)
     since_renorm = 0
     for _ in range(n_steps):
-        v = list(_tangent_apply_cols(state, v, p))
-        state = _map_cols(*state, p)
+        rot = _x_rotations(*state, p)
+        v = list(_tangent_apply_cols(rot, v, p))
+        state = _map_cols(*state, p, rot=rot)
         since_renorm += 1
         if since_renorm == renorm_every:
             d = sum(np.abs(comp) for comp in v)

@@ -78,7 +78,6 @@ _SCHEMA = {
     "n_traj": (int, 1_000_000),
     "chunk_size": (int, 1_000_000),
     "n_steps": (int, 100_000),
-    "renorm_every": (int, 1),
     "sample_every": (int, 1000),
     "n_samples": (int, 30_000),
     "scan_steps": (int, 10_000),
@@ -230,9 +229,9 @@ def _write_manifest(outdir: Path, mode: str, cfg: dict, derived: dict) -> None:
     (outdir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def _moment_columns(series, prefix_map=(("S", "s"), ("L", "l"))) -> dict:
+def _moment_columns(series) -> dict:
     cols: dict = {"n": np.asarray(series.kicks, dtype=np.int64)}
-    for label, attr in prefix_map:
+    for label, attr in (("S", "s"), ("L", "l")):
         mag = series.mag_s if attr == "s" else series.mag_l
         mean = getattr(series, f"{attr}_tilde_mean")
         for i, comp in enumerate("xyz"):
@@ -254,7 +253,7 @@ def _quantum_series(conv: dict, ang: np.ndarray, n_kicks: int):
     state = quantum.product_state(
         s, l, quantum.coherent_state(s, ang[0], ang[1]), quantum.coherent_state(l, ang[2], ang[3])
     )
-    return state, flo, quantum.evolve_series(state, flo, n_kicks)
+    return quantum.evolve_series(state, flo, n_kicks)
 
 
 def _ensemble_series(conv: dict, ang: np.ndarray, cfg: dict):
@@ -273,10 +272,10 @@ def _ensemble_series(conv: dict, ang: np.ndarray, cfg: dict):
 def _run_quantum(cfg: dict, outdir: Path) -> dict:
     conv = _coupling(cfg, "quantum")
     ang = _angles(cfg, "quantum")
-    state, flo, series = _quantum_series(conv, ang, cfg["n_kicks"])
+    series = _quantum_series(conv, ang, cfg["n_kicks"])
+    final = series.final
     write_csv(outdir / "qmoments.csv", _moment_columns(series))
     if cfg["dump_state"]:
-        final = quantum.evolve(state, flo, cfg["n_kicks"])
         ms = np.repeat(quantum.m_values(conv["s"]), quantum.dim_of(conv["l"]))
         ml = np.tile(quantum.m_values(conv["l"]), quantum.dim_of(conv["s"]))
         write_csv(
@@ -284,7 +283,6 @@ def _run_quantum(cfg: dict, outdir: Path) -> dict:
             {"m_s": ms, "m_l": ml, "re": final.amplitudes.real, "im": final.amplitudes.imag},
         )
     if cfg["dump_pz"]:
-        final = quantum.evolve(state, flo, cfg["n_kicks"])
         write_csv(
             outdir / "pz_final.csv",
             {"m_l": quantum.m_values(conv["l"]), "P": quantum.marginal_pz(final)},
@@ -369,12 +367,11 @@ def _run_ensemble(cfg: dict, outdir: Path) -> dict:
     return conv
 
 
-def _fit_report(qs, cs, d, cfg: dict, conv: dict) -> tuple[list[str], dict]:
+def _fit_report(qs, cs, d, cfg: dict, conv: dict, ang: np.ndarray) -> tuple[list[str], dict]:
     """Summary block: lambda_L, lambda_w (both sides), lambda_qc, t*, t_sat, t_b table."""
     lines: list[str] = []
     values: dict = {}
     p = classical.ClassicalParams(conv["a"], conv["gamma"], conv["r"])
-    ang = np.deg2rad([cfg["theta_s"], cfg["phi_s"], cfg["theta_l"], cfg["phi_l"]])
     lam_l = classical.lyapunov_exponent(classical.angles_to_state(*ang), p, cfg["lyap_steps"])
     lines.append(f"lambda_L (trajectory at IC, {cfg['lyap_steps']} steps) = {lam_l:.6g}")
     values["lambda_L"] = lam_l
@@ -426,7 +423,7 @@ def _fit_report(qs, cs, d, cfg: dict, conv: dict) -> tuple[list[str], dict]:
 def _run_compare(cfg: dict, outdir: Path) -> dict:
     conv = _coupling(cfg, "compare")
     ang = _angles(cfg, "compare")
-    _, _, qs = _quantum_series(conv, ang, cfg["n_kicks"])
+    qs = _quantum_series(conv, ang, cfg["n_kicks"])
     _, _, cs = _ensemble_series(conv, ang, cfg)
     d = correspondence.difference_series(qs, cs)
     write_csv(outdir / "qmoments.csv", _moment_columns(qs))
@@ -444,7 +441,7 @@ def _run_compare(cfg: dict, outdir: Path) -> dict:
         f"theta_l={cfg['theta_l']} phi_l={cfg['phi_l']}",
         f"n_kicks={cfg['n_kicks']} n_traj={cfg['n_traj']} seed={cfg['seed']}",
     ]
-    fit_lines, values = _fit_report(qs, cs, d, cfg, conv)
+    fit_lines, values = _fit_report(qs, cs, d, cfg, conv, ang)
     (outdir / "summary.txt").write_text("\n".join(header + fit_lines) + "\n")
     return {**conv, **values}
 
@@ -462,12 +459,12 @@ def _run_break_scaling(cfg: dict, outdir: Path) -> dict:
         raise ConfigError("key 'l_list' is empty")
     p_tol = cfg["p"]
     records, rows = [], []
-    fits_rows = []
+    fits_rows, dropped = [], []
     for idx, l in enumerate(l_values):
         s = choose_s_for_r(l, cfg["r_target"])
         conv = params_convert(s=s, l=l, gamma=cfg["gamma"])
         sub_cfg = dict(cfg, seed=cfg["seed"] + idx)
-        _, _, qs = _quantum_series({**conv, "a": cfg["a"]}, ang, cfg["n_kicks"])
+        qs = _quantum_series({**conv, "a": cfg["a"]}, ang, cfg["n_kicks"])
         _, _, cs = _ensemble_series({**conv, "a": cfg["a"]}, ang, sub_cfg)
         d = correspondence.difference_series(qs, cs)
         rec = correspondence.break_time(d, p_tol)
@@ -479,8 +476,8 @@ def _run_break_scaling(cfg: dict, outdir: Path) -> dict:
                 delta_cap=cfg["delta_cap"], ma_window=cfg["ma_window"],
             )
             fits_rows.append((l, direct.lam, direct.window[0], direct.window[1], direct.residual))
-        except ValueError:
-            pass
+        except ValueError as exc:
+            dropped.append(f"direct fit at l={l:g} left out of fits.csv: {exc}")
     cols = list(zip(*rows))
     write_csv(
         outdir / "breaktimes.csv",
@@ -507,6 +504,7 @@ def _run_break_scaling(cfg: dict, outdir: Path) -> dict:
     lines = [
         f"tolerance p = {p_tol}",
         f"l sweep: {', '.join(f'{l:g}' for l in l_values)} (s chosen for r ~ {cfg['r_target']})",
+        *dropped,
     ]
     values: dict = {}
     try:

@@ -40,7 +40,6 @@ __all__ = [
     "coherent_state",
     "product_state",
     "build_floquet",
-    "evolve",
     "evolve_series",
     "observables",
     "marginal_pz",
@@ -247,29 +246,6 @@ def _apply_floquet(psi: np.ndarray, f: FloquetOperator) -> np.ndarray:
     return f.free_phases * psi
 
 
-def evolve(state: QuantumState, f: FloquetOperator, n: int, renormalize: bool = True) -> QuantumState:
-    """Apply the Floquet operator n times, never materializing the full matrix.
-
-    Rounding in the two matrix multiplies per kick drifts the norm by about
-    1e-14 per step; like the classical map, the state is renormalized after
-    every kick so that long runs stay on the unit sphere.  Pass
-    ``renormalize=False`` to observe the raw floating-point application.
-    """
-    if state.s.dim != f.s.dim or state.l.dim != f.l.dim:
-        raise ValueError(
-            f"state dims ({state.s.dim} x {state.l.dim}) do not match operator "
-            f"({f.s.dim} x {f.l.dim})"
-        )
-    if n < 0:
-        raise ValueError("kick count must be non-negative")
-    psi = state.matrix.copy()
-    for _ in range(n):
-        psi = _apply_floquet(psi, f)
-        if renormalize:
-            psi /= np.linalg.norm(psi)
-    return QuantumState(state.s, state.l, psi.reshape(-1))
-
-
 # ---------------------------------------------------------------------------
 # observables
 
@@ -384,7 +360,10 @@ def marginal_pz(state: QuantumState) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantumMomentSeries:
-    """Normalized quantum moments at kicks 0..n: <~S>, <~L>, and variances."""
+    """Normalized quantum moments at kicks 0..n: <~S>, <~L>, and variances.
+
+    ``final`` is the state after the last kick.
+    """
 
     s: float
     l: float
@@ -393,6 +372,7 @@ class QuantumMomentSeries:
     l_tilde_mean: np.ndarray     # (K, 3)
     var_norm_s: np.ndarray       # (K,)
     var_norm_l: np.ndarray       # (K,)
+    final: QuantumState = field(repr=False)
 
     @property
     def mag_s(self) -> float:
@@ -404,7 +384,20 @@ class QuantumMomentSeries:
 
 
 def evolve_series(state: QuantumState, f: FloquetOperator, n_kicks: int) -> QuantumMomentSeries:
-    """Evolve kick by kick, recording observables at every stroboscopic time."""
+    """Evolve kick by kick, recording observables at every stroboscopic time.
+
+    The Floquet operator is applied in factored form, never as a full matrix.
+    Rounding in the two matrix multiplies per kick drifts the norm by about
+    1e-14 per step; like the classical map, the state is renormalized after
+    every kick so that long runs stay on the unit sphere.
+    """
+    if state.s.dim != f.s.dim or state.l.dim != f.l.dim:
+        raise ValueError(
+            f"state dims ({state.s.dim} x {state.l.dim}) do not match operator "
+            f"({f.s.dim} x {f.l.dim})"
+        )
+    if n_kicks < 0:
+        raise ValueError("kick count must be non-negative")
     K = n_kicks + 1
     s_mean = np.empty((K, 3))
     l_mean = np.empty((K, 3))
@@ -430,4 +423,5 @@ def evolve_series(state: QuantumState, f: FloquetOperator, n_kicks: int) -> Quan
         l_tilde_mean=l_mean,
         var_norm_s=vs,
         var_norm_l=vl,
+        final=QuantumState(state.s, state.l, psi.reshape(-1)),
     )

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from spinchaos import cli
+from spinchaos import cli, correspondence, quantum
 
 
 def run_cli(args, **kwargs):
@@ -73,6 +73,10 @@ def test_parse_config_rejects_unknown_key(tmp_path):
     cfg_file.write_text("banana = 7\n")
     with pytest.raises(cli.ConfigError, match="banana"):
         cli.parse_config(str(cfg_file), [])
+    # a key no mode reads is unknown too, not silently ignored
+    with pytest.raises(cli.ConfigError, match="renorm_every"):
+        cli.parse_config(None, ["renorm_every=7"])
+    assert cli.main(["lyapunov", "--set", "renorm_every=7"]) == 1
 
 
 def test_parse_config_rejects_bad_value():
@@ -130,6 +134,17 @@ def test_quantum_mode_artifacts(tmp_path):
     pz = np.genfromtxt(out / "pz_final.csv", delimiter=",", names=True)
     assert abs(pz["P"].sum() - 1.0) < 1e-12
     assert "manifest.txt" in {p.name for p in out.iterdir()}
+
+    # both dumps come from the state at the end of the one evolution
+    conv = cli.params_convert(s=4, l=5, gamma=1.215)
+    th_s, ph_s, th_l, ph_l = np.deg2rad([20, 40, 160, 130])
+    state = quantum.product_state(
+        4, 5, quantum.coherent_state(4, th_s, ph_s), quantum.coherent_state(5, th_l, ph_l)
+    )
+    final = quantum.evolve_series(state, quantum.build_floquet(4, 5, 5.0, conv["c"]), 6).final
+    amps = np.genfromtxt(out / "state_final.csv", delimiter=",", names=True)
+    assert np.array_equal(amps["re"] + 1j * amps["im"], final.amplitudes)
+    assert np.array_equal(pz["P"], (np.abs(final.matrix) ** 2).sum(axis=0))
 
 
 def test_classical_traj_mode(tmp_path):
@@ -215,6 +230,32 @@ def test_break_scaling_mode_small(tmp_path):
     assert set(table["l"]) == {11.0, 22.0, 33.0, 44.0}
     assert np.all(table["t_b"] >= 1)
     assert "lambda_qc (break-time scaling fit)" in (out / "summary.txt").read_text()
+
+
+def test_break_scaling_reports_dropped_direct_fit(monkeypatch, tmp_path):
+    real_fit = correspondence.fit_growth_exponent
+
+    def fit_failing_at_11(d, **kwargs):
+        if d.l == 11:
+            raise ValueError("no kicks above the Monte Carlo noise floor to fit")
+        return real_fit(d, **kwargs)
+
+    monkeypatch.setattr(correspondence, "fit_growth_exponent", fit_failing_at_11)
+    cfg = cli.parse_config(
+        None,
+        [f"outdir={tmp_path}", "a=5", "gamma=1.215", "theta_s=20", "phi_s=40", "theta_l=160",
+         "phi_l=130", "l_list=11,22", "n_kicks=14", "n_traj=20000", "seed=5"],
+    )
+    assert cli.run("break-scaling", cfg) == 0
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    assert (
+        "direct fit at l=11 left out of fits.csv: "
+        "no kicks above the Monte Carlo noise floor to fit"
+    ) in summary
+    fits = np.genfromtxt(tmp_path / "fits.csv", delimiter=",", names=True)
+    assert set(np.atleast_1d(fits["l"])) == {22.0}
+    direct = f"lambda_qc (direct fit at largest fitted l) = {float(fits['lambda_qc_direct']):.6g}"
+    assert direct in summary
 
 
 def test_appendix_check_mode(tmp_path):

@@ -86,7 +86,7 @@ def test_quantum_marginal_relaxes_to_near_uniform():
     state = qm.product_state(
         s, l, qm.coherent_state(s, ang[0], ang[1]), qm.coherent_state(l, ang[2], ang[3])
     )
-    p = qm.marginal_pz(qm.evolve(state, f, 15))
+    p = qm.marginal_pz(qm.evolve_series(state, f, 15).final)
     u = 1.0 / (2 * l + 1)
     assert abs(p.sum() - 1.0) < 1e-12
     assert np.max(p) < 2.0 * u

@@ -158,7 +158,7 @@ def test_floquet_no_interaction_is_pure_z_rotation():
             amps = np.zeros(q.dim_of(s) * q.dim_of(l), dtype=complex)
             amps[i_s * q.dim_of(l) + i_l] = 1.0
             state = q.QuantumState(q.SpinQuantum(s), q.SpinQuantum(l), amps)
-            out = q.evolve(state, f, 1).amplitudes
+            out = q.evolve_series(state, f, 1).final.amplitudes
             expected = amps * np.exp(-1j * a * (ms[i_s] + ml[i_l]))
             assert np.max(np.abs(out - expected)) < 1e-12
 
@@ -173,7 +173,7 @@ def test_interaction_factorization_matches_expm():
         amps = np.zeros(4, dtype=complex)
         amps[k] = 1.0
         state = q.QuantumState(q.SpinQuantum(0.5), q.SpinQuantum(0.5), amps)
-        out = q.evolve(state, f, 1).amplitudes
+        out = q.evolve_series(state, f, 1).final.amplitudes
         assert np.max(np.abs(out - dense @ amps)) < 1e-12
 
 
@@ -188,20 +188,27 @@ def test_factored_application_matches_dense_operator():
         f = q.build_floquet(s, l, a, c)
         dense = dense_floquet(s, l, a, c)
         state = random_state(s, l, rng)
-        out = q.evolve(state, f, 1).amplitudes
+        out = q.evolve_series(state, f, 1).final.amplitudes
         assert np.max(np.abs(out - dense @ state.amplitudes)) < 1e-12
 
 
 def test_evolve_zero_kicks_is_identity():
     state = random_state(2, 3)
-    out = q.evolve(state, q.build_floquet(2, 3, 1.0, 0.5), 0)
-    assert np.array_equal(out.amplitudes, state.amplitudes)
+    series = q.evolve_series(state, q.build_floquet(2, 3, 1.0, 0.5), 0)
+    assert series.kicks.shape == (1,)
+    assert np.array_equal(series.final.amplitudes, state.amplitudes)
 
 
 def test_evolve_dimension_mismatch():
     state = random_state(1, 1)
-    with pytest.raises(ValueError):
-        q.evolve(state, q.build_floquet(1, 2, 1.0, 0.5), 1)
+    with pytest.raises(ValueError, match="do not match"):
+        q.evolve_series(state, q.build_floquet(1, 2, 1.0, 0.5), 1)
+
+
+def test_evolve_negative_kick_count_rejected():
+    state = random_state(1, 2)
+    with pytest.raises(ValueError, match="non-negative"):
+        q.evolve_series(state, q.build_floquet(1, 2, 1.0, 0.5), -1)
 
 
 def test_unitarity_random_parameters():
@@ -211,7 +218,8 @@ def test_unitarity_random_parameters():
         l = rng.choice([1.0, 2.5, 6.0])
         f = q.build_floquet(s, l, rng.uniform(0, 2 * np.pi), rng.uniform(-4, 4))
         state = random_state(s, l, rng)
-        assert abs(q.evolve(state, f, 1).norm() - 1.0) < 1e-12
+        # raw single kick, no renormalization
+        assert abs(np.linalg.norm(q._apply_floquet(state.matrix, f)) - 1.0) < 1e-12
 
 
 def test_norm_preserved_200_kicks_production_scale():
@@ -222,11 +230,11 @@ def test_norm_preserved_200_kicks_production_scale():
     psi_s = q.coherent_state(s, np.deg2rad(45), np.deg2rad(70))
     psi_l = q.coherent_state(l, np.deg2rad(135), np.deg2rad(70))
     state = q.product_state(s, l, psi_s, psi_l)
-    out = q.evolve(state, f, 200)
+    out = q.evolve_series(state, f, 200).final
     assert abs(out.norm() - 1.0) < 1e-12
     # raw single-kick application (no renormalization) is unitary to 1e-12
-    raw = q.evolve(state, f, 1, renormalize=False)
-    assert abs(raw.norm() - 1.0) < 1e-12
+    raw = q._apply_floquet(state.matrix, f)
+    assert abs(np.linalg.norm(raw) - 1.0) < 1e-12
 
 
 def test_casimir_expectation_invariant_under_evolution():
@@ -234,7 +242,7 @@ def test_casimir_expectation_invariant_under_evolution():
     state = random_state(2, 2.5)
     f = q.build_floquet(2, 2.5, 5.0, 1.3)
     before = q.observables(state)
-    after = q.observables(q.evolve(state, f, 50))
+    after = q.observables(q.evolve_series(state, f, 50).final)
     assert abs(after.l2 - before.l2) < 1e-12
     assert abs(after.s2 - before.s2) < 1e-12
 
@@ -295,11 +303,11 @@ def test_marginal_pz_south_pole_delta():
 
 def test_marginal_pz_normalized_after_evolution():
     f = q.build_floquet(4, 5, 5.0, 0.4)
-    state = q.evolve(
+    state = q.evolve_series(
         q.product_state(4, 5, q.coherent_state(4, 0.4, 0.2), q.coherent_state(5, 2.0, 1.0)),
         f,
         20,
-    )
+    ).final
     p = q.marginal_pz(state)
     assert np.all(p >= -1e-15)
     assert abs(p.sum() - 1.0) < 1e-12
@@ -311,7 +319,9 @@ def test_evolve_series_matches_single_shot():
     state = q.product_state(s, l, q.coherent_state(s, 0.3, 0.1), q.coherent_state(l, 1.9, 2.2))
     series = q.evolve_series(state, f, 7)
     assert series.kicks.shape == (8,)
-    final = q.evolve(state, f, 7)
-    obs = q.observables(final)
+    obs = q.observables(series.final)
     assert abs(series.l_tilde_mean[-1, 2] * series.mag_l - obs.lz) < 1e-10
     assert abs(series.var_norm_l[-1] - obs.var_norm_l) < 1e-12
+    # evolving in two legs through the final state gives the same amplitudes
+    split = q.evolve_series(q.evolve_series(state, f, 3).final, f, 4).final
+    assert np.array_equal(split.amplitudes, series.final.amplitudes)

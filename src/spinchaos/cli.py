@@ -39,24 +39,9 @@ from .csvio import write_csv
 
 __all__ = ["main", "run", "parse_config", "params_convert", "choose_s_for_r", "ConfigError"]
 
-MODES = (
-    "quantum",
-    "classical-traj",
-    "lyapunov",
-    "regime-scan",
-    "ensemble",
-    "compare",
-    "break-scaling",
-    "appendix-check",
-)
-
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration (exit code 1)."""
-
-
-class NumericalError(RuntimeError):
-    """A sub-operation failed numerically (exit code 2)."""
 
 
 # key -> (parser, default); None default means "no default, maybe required per mode"
@@ -76,7 +61,6 @@ _SCHEMA = {
     "phi_l": (float, None),
     "n_kicks": (int, 200),
     "n_traj": (int, 1_000_000),
-    "chunk_size": (int, 1_000_000),
     "n_steps": (int, 100_000),
     "sample_every": (int, 1000),
     "n_samples": (int, 30_000),
@@ -258,11 +242,10 @@ def _quantum_series(conv: dict, ang: np.ndarray, n_kicks: int):
 
 def _ensemble_series(conv: dict, ang: np.ndarray, cfg: dict):
     ens = liouville.build_ensemble(
-        conv["s"], conv["l"], *ang, n_traj=cfg["n_traj"], seed=cfg["seed"],
-        chunk_size=cfg["chunk_size"],
+        conv["s"], conv["l"], *ang, n_traj=cfg["n_traj"], seed=cfg["seed"]
     )
     p = classical.ClassicalParams(conv["a"], conv["gamma"], conv["r"])
-    return ens, p, liouville.ensemble_evolve(ens, p, cfg["n_kicks"])
+    return liouville.ensemble_evolve(ens, p, cfg["n_kicks"])
 
 
 # ---------------------------------------------------------------------------
@@ -353,16 +336,12 @@ def _run_regime_scan(cfg: dict, outdir: Path) -> dict:
 def _run_ensemble(cfg: dict, outdir: Path) -> dict:
     conv = _coupling(cfg, "ensemble")
     ang = _angles(cfg, "ensemble")
-    ens, p, series = _ensemble_series(conv, ang, cfg)
+    series = _ensemble_series(conv, ang, cfg)
     write_csv(outdir / "cmoments.csv", _moment_columns(series))
     if cfg["dump_pz"]:
-        states = liouville.evolve_states(ens, p, cfg["n_kicks"])
         write_csv(
             outdir / "pz_final.csv",
-            {
-                "m_l": quantum.m_values(conv["l"]),
-                "P": liouville.marginal_pz_classical(states, conv["l"]),
-            },
+            {"m_l": quantum.m_values(conv["l"]), "P": series.pz_final},
         )
     return conv
 
@@ -424,7 +403,7 @@ def _run_compare(cfg: dict, outdir: Path) -> dict:
     conv = _coupling(cfg, "compare")
     ang = _angles(cfg, "compare")
     qs = _quantum_series(conv, ang, cfg["n_kicks"])
-    _, _, cs = _ensemble_series(conv, ang, cfg)
+    cs = _ensemble_series(conv, ang, cfg)
     d = correspondence.difference_series(qs, cs)
     write_csv(outdir / "qmoments.csv", _moment_columns(qs))
     write_csv(outdir / "cmoments.csv", _moment_columns(cs))
@@ -465,7 +444,7 @@ def _run_break_scaling(cfg: dict, outdir: Path) -> dict:
         conv = params_convert(s=s, l=l, gamma=cfg["gamma"])
         sub_cfg = dict(cfg, seed=cfg["seed"] + idx)
         qs = _quantum_series({**conv, "a": cfg["a"]}, ang, cfg["n_kicks"])
-        _, _, cs = _ensemble_series({**conv, "a": cfg["a"]}, ang, sub_cfg)
+        cs = _ensemble_series({**conv, "a": cfg["a"]}, ang, sub_cfg)
         d = correspondence.difference_series(qs, cs)
         rec = correspondence.break_time(d, p_tol)
         records.append(rec)
@@ -564,6 +543,7 @@ _RUNNERS = {
     "break-scaling": _run_break_scaling,
     "appendix-check": _run_appendix_check,
 }
+MODES = tuple(_RUNNERS)
 
 
 def run(mode: str, cfg: dict) -> int:
@@ -580,10 +560,7 @@ def run(mode: str, cfg: dict) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FloatingPointError, np.linalg.LinAlgError, ValueError) as exc:
         # domain errors raised by the libraries while running are numerical failures
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
@@ -603,10 +580,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config, args.overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     return run(args.mode, cfg)

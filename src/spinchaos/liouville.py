@@ -17,7 +17,7 @@ truncated exponential in Jz~, so no rejection step is needed.
 Ensembles are propagated with the stroboscopic map; trajectories are
 processed in fixed-size chunks drawn sequentially from one master-seeded
 generator, which keeps memory bounded and output deterministic for a given
-(seed, n_traj, chunk_size).
+(seed, n_traj).
 """
 
 from __future__ import annotations
@@ -37,16 +37,16 @@ __all__ = [
     "VectorModelMC",
     "sigma2_for",
     "big_g",
-    "matched_density",
     "sample_polarized",
     "initial_offset_jz",
     "build_ensemble",
     "ensemble_evolve",
-    "evolve_states",
     "marginal_pz_classical",
     "appendix_moments",
     "vector_model_mc",
 ]
+
+_CHUNK = 1_000_000  # trajectories drawn and propagated together
 
 
 def sigma2_for(j: float) -> float:
@@ -86,10 +86,6 @@ class MatchedDensityParams:
     @property
     def j_mag(self) -> float:
         return math.sqrt(self.j * (self.j + 1.0))
-
-
-def matched_density(j: float, theta0: float = 0.0, phi0: float = 0.0) -> MatchedDensityParams:
-    return MatchedDensityParams(j=float(j), theta0=float(theta0), phi0=float(phi0))
 
 
 def sample_polarized(params: MatchedDensityParams, rng: np.random.Generator, n: int):
@@ -141,13 +137,10 @@ class Ensemble:
     l_density: MatchedDensityParams
     n_traj: int
     seed: int
-    chunk_size: int = 1_000_000
 
     def __post_init__(self):
         if self.n_traj < 1:
             raise ValueError("n_traj must be >= 1")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
 
     @property
     def mag_s(self) -> float:
@@ -158,14 +151,14 @@ class Ensemble:
         return self.l_density.j_mag
 
     def iter_chunks(self):
-        """Yield (n_chunk, 6-tuple of component arrays), deterministically."""
+        """Yield 6-tuples of component arrays, one per chunk, deterministically."""
         rng = np.random.default_rng(self.seed)
         remaining = self.n_traj
         while remaining > 0:
-            m = min(self.chunk_size, remaining)
+            m = min(_CHUNK, remaining)
             s_vec = sample_polarized(self.s_density, rng, m)
             l_vec = sample_polarized(self.l_density, rng, m)
-            yield m, (
+            yield (
                 np.ascontiguousarray(s_vec[:, 0]),
                 np.ascontiguousarray(s_vec[:, 1]),
                 np.ascontiguousarray(s_vec[:, 2]),
@@ -179,7 +172,7 @@ class Ensemble:
     def states(self) -> np.ndarray:
         """All initial conditions as an (n_traj, 6) array."""
         return np.concatenate(
-            [np.stack(cols, axis=1) for _, cols in self.iter_chunks()], axis=0
+            [np.stack(cols, axis=1) for cols in self.iter_chunks()], axis=0
         )
 
 
@@ -192,15 +185,13 @@ def build_ensemble(
     phi_l: float,
     n_traj: int,
     seed: int,
-    chunk_size: int = 1_000_000,
 ) -> Ensemble:
     """Ensemble matched to coherent states of (s, l) polarized along the given angles."""
     return Ensemble(
-        s_density=matched_density(s, theta_s, phi_s),
-        l_density=matched_density(l, theta_l, phi_l),
+        s_density=MatchedDensityParams(s, theta_s, phi_s),
+        l_density=MatchedDensityParams(l, theta_l, phi_l),
         n_traj=n_traj,
         seed=seed,
-        chunk_size=chunk_size,
     )
 
 
@@ -211,7 +202,8 @@ class MomentSeries:
     ``*_tilde_mean`` are means of the unit-vector components <~J_i>_c; the
     normalized variance is 1 - |<~J>_c|^2 (the Casimir is exact trajectory by
     trajectory).  Standard errors on the variance come from the delta method
-    applied to the mean-vector covariance.
+    applied to the mean-vector covariance.  ``pz_final`` is the L_z marginal
+    after the last kick, as :func:`marginal_pz_classical` bins it.
     """
 
     mag_s: float
@@ -226,6 +218,7 @@ class MomentSeries:
     var_norm_s_se: np.ndarray = field(repr=False)
     var_norm_l: np.ndarray = field(repr=False)
     var_norm_l_se: np.ndarray = field(repr=False)
+    pz_final: np.ndarray = field(repr=False)       # (2l+1,), descending m_l
 
 
 def _moments_from_sums(sum1, sum2, n):
@@ -242,17 +235,20 @@ def _moments_from_sums(sum1, sum2, n):
 def ensemble_evolve(ens: Ensemble, p: ClassicalParams, n_kicks: int) -> MomentSeries:
     """Propagate every trajectory and record moments at kicks 0..n_kicks.
 
-    Chunks are accumulated in a fixed order, so results are byte-identical
-    across runs with the same (seed, n_traj, chunk_size).
+    After the last kick each chunk's L_z is binned as by
+    :func:`marginal_pz_classical`.  Chunks are accumulated in a fixed order,
+    so results are byte-identical across runs with the same (seed, n_traj).
     """
     if n_kicks < 0:
         raise ValueError("n_kicks must be >= 0")
     K = n_kicks + 1
+    l = ens.l_density.j
     sum_s1 = np.zeros((K, 3))
     sum_s2 = np.zeros((K, 3, 3))
     sum_l1 = np.zeros((K, 3))
     sum_l2 = np.zeros((K, 3, 3))
-    for m, cols in ens.iter_chunks():
+    pz_counts = 0
+    for cols in ens.iter_chunks():
         for n in range(K):
             svec = np.stack(cols[:3], axis=1)
             lvec = np.stack(cols[3:], axis=1)
@@ -262,6 +258,7 @@ def ensemble_evolve(ens: Ensemble, p: ClassicalParams, n_kicks: int) -> MomentSe
             sum_l2[n] += lvec.T @ lvec
             if n < n_kicks:
                 cols = _map_cols(*cols, p)
+        pz_counts += _pz_counts(cols[5], l)
     n_traj = ens.n_traj
     s_mu, s_se, s_var, s_var_se = _moments_from_sums(sum_s1, sum_s2, n_traj)
     l_mu, l_se, l_var, l_var_se = _moments_from_sums(sum_l1, sum_l2, n_traj)
@@ -278,20 +275,20 @@ def ensemble_evolve(ens: Ensemble, p: ClassicalParams, n_kicks: int) -> MomentSe
         var_norm_s_se=s_var_se,
         var_norm_l=l_var,
         var_norm_l_se=l_var_se,
+        pz_final=pz_counts / n_traj,
     )
 
 
-def evolve_states(ens: Ensemble, p: ClassicalParams, n_kicks: int) -> np.ndarray:
-    """All trajectory states after n_kicks, as an (n_traj, 6) array."""
-    out = []
-    for _, cols in ens.iter_chunks():
-        for _ in range(n_kicks):
-            cols = _map_cols(*cols, p)
-        out.append(np.stack(cols, axis=1))
-    return np.concatenate(out, axis=0)
+def _pz_counts(lz_tilde: np.ndarray, l: float) -> np.ndarray:
+    """Integer counts of L_z = sqrt(l(l+1)) Lz~ in 2l+1 unit bins, descending m_l."""
+    dim = int(round(2 * l)) + 1
+    lz = math.sqrt(l * (l + 1.0)) * lz_tilde.reshape(-1)
+    idx = np.rint(l - lz).astype(np.int64)  # descending index i = l - m
+    np.clip(idx, 0, dim - 1, out=idx)
+    return np.bincount(idx, minlength=dim)
 
 
-def marginal_pz_classical(states: np.ndarray, l: float, mag_l: float | None = None):
+def marginal_pz_classical(states: np.ndarray, l: float):
     """Discretize the L_z marginal into 2l+1 unit bins centered on m_l.
 
     ``states`` is an (n, 6) array of unit spin pairs; L_z = |L| Lz~ with
@@ -299,12 +296,7 @@ def marginal_pz_classical(states: np.ndarray, l: float, mag_l: float | None = No
     into the end bins.  Returned over descending m_l, matching the quantum
     marginal; entries sum to exactly 1.
     """
-    dim = int(round(2 * l)) + 1
-    mag = math.sqrt(l * (l + 1.0)) if mag_l is None else mag_l
-    lz = mag * np.asarray(states)[..., 5].reshape(-1)
-    idx = np.rint(l - lz).astype(np.int64)  # descending index i = l - m
-    np.clip(idx, 0, dim - 1, out=idx)
-    counts = np.bincount(idx, minlength=dim)
+    counts = _pz_counts(np.asarray(states)[..., 5], l)
     return counts / counts.sum()
 
 

@@ -360,7 +360,7 @@ def test_criterion_8_property_suite(tmp_path):
     # sampling moment matching within 4 SE
     j = 55
     mag = math.sqrt(j * (j + 1))
-    vec = lv.sample_polarized(lv.matched_density(j), np.random.default_rng(5), 1_000_000)
+    vec = lv.sample_polarized(lv.MatchedDensityParams(j), np.random.default_rng(5), 1_000_000)
     jz = mag * vec[:, 2]
     se = jz.std(ddof=1) / 1000.0
     checks["sampling moments 4 SE"] = abs(jz.mean() - mag * lv.big_g(lv.sigma2_for(j))) < 4 * se

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from spinchaos import cli, correspondence, quantum
+from spinchaos import classical, cli, correspondence, liouville, quantum
 
 
 def run_cli(args, **kwargs):
@@ -77,6 +77,9 @@ def test_parse_config_rejects_unknown_key(tmp_path):
     with pytest.raises(cli.ConfigError, match="renorm_every"):
         cli.parse_config(None, ["renorm_every=7"])
     assert cli.main(["lyapunov", "--set", "renorm_every=7"]) == 1
+    with pytest.raises(cli.ConfigError, match="chunk_size"):
+        cli.parse_config(None, ["chunk_size=1000"])
+    assert cli.main(["ensemble", "--set", "chunk_size=1000"]) == 1
 
 
 def test_parse_config_rejects_bad_value():
@@ -214,6 +217,34 @@ def test_ensemble_mode_seed_changes_output(tmp_path):
     assert run_cli(base + ["--set", f"outdir={out1}", "--set", "seed=1"]).returncode == 0
     assert run_cli(base + ["--set", f"outdir={out2}", "--set", "seed=2"]).returncode == 0
     assert (out1 / "cmoments.csv").read_bytes() != (out2 / "cmoments.csv").read_bytes()
+
+
+def test_ensemble_mode_dumps_pz_from_the_one_propagation(monkeypatch, tmp_path):
+    calls = []
+    real_map = liouville._map_cols
+
+    def counting_map(*args, **kwargs):
+        calls.append(1)
+        return real_map(*args, **kwargs)
+
+    monkeypatch.setattr(liouville, "_map_cols", counting_map)
+    cfg = cli.parse_config(
+        None,
+        [f"outdir={tmp_path}", "a=5", "gamma=1.215", "s=10", "l=11", "theta_s=45",
+         "phi_s=70", "theta_l=135", "phi_l=70", "n_kicks=4", "n_traj=3000", "seed=3",
+         "dump_pz=1"],
+    )
+    assert cli.run("ensemble", cfg) == 0
+    assert len(calls) == 4
+
+    conv = cli.params_convert(s=10, l=11, gamma=1.215)
+    p = classical.ClassicalParams(5.0, conv["gamma"], conv["r"])
+    ens = liouville.build_ensemble(10, 11, *np.deg2rad([45, 70, 135, 70]), n_traj=3000, seed=3)
+    states = ens.states
+    for _ in range(4):
+        states = classical.map_step(states, p)
+    pz = np.genfromtxt(tmp_path / "pz_final.csv", delimiter=",", names=True)
+    assert np.array_equal(pz["P"], liouville.marginal_pz_classical(states, 11))
 
 
 def test_break_scaling_mode_small(tmp_path):

@@ -79,7 +79,7 @@ def test_initial_offset_closed_form():
 
 def test_sample_polarized_is_on_sphere():
     rng = np.random.default_rng(1)
-    vec = lv.sample_polarized(lv.matched_density(11, 0.7, 1.3), rng, 50_000)
+    vec = lv.sample_polarized(lv.MatchedDensityParams(11, 0.7, 1.3), rng, 50_000)
     assert np.max(np.abs(np.linalg.norm(vec, axis=1) - 1.0)) < 1e-12
 
 
@@ -100,7 +100,7 @@ def test_sample_moments_match_closed_forms():
     s2 = lv.sigma2_for(j)
     mag = math.sqrt(j * (j + 1))
     rng = np.random.default_rng(3)
-    vec = lv.sample_polarized(lv.matched_density(j), rng, 1_000_000)
+    vec = lv.sample_polarized(lv.MatchedDensityParams(j), rng, 1_000_000)
     n = vec.shape[0]
 
     jz = mag * vec[:, 2]
@@ -123,7 +123,7 @@ def test_sampled_ratio_matches_quantum(j):
     # <J_z>_c / <J_x^2>_c = 2 = <J_z>/<J_x^2>, the width-matching condition
     mag = math.sqrt(j * (j + 1))
     rng = np.random.default_rng(100 + j)
-    vec = lv.sample_polarized(lv.matched_density(j), rng, 1_000_000)
+    vec = lv.sample_polarized(lv.MatchedDensityParams(j), rng, 1_000_000)
     n = vec.shape[0]
     jz = mag * vec[:, 2]
     jx2 = (mag * vec[:, 0]) ** 2
@@ -139,12 +139,9 @@ def test_sampled_ratio_matches_quantum(j):
 # ensembles
 
 
-def _small_ensemble(n=4000, seed=7, chunk=None, l=22, s=20):
+def _small_ensemble(n=4000, seed=7, l=22, s=20):
     ang = np.deg2rad([45.0, 70.0, 135.0, 70.0])
-    return lv.build_ensemble(
-        s, l, ang[0], ang[1], ang[2], ang[3], n_traj=n, seed=seed,
-        chunk_size=chunk or n,
-    )
+    return lv.build_ensemble(s, l, ang[0], ang[1], ang[2], ang[3], n_traj=n, seed=seed)
 
 
 def test_ensemble_states_on_sphere_and_reproducible():
@@ -156,19 +153,25 @@ def test_ensemble_states_on_sphere_and_reproducible():
     assert np.array_equal(st, _small_ensemble().states)
 
 
-def test_ensemble_evolve_matches_direct_propagation():
-    ens = _small_ensemble(n=700)
+def test_ensemble_evolve_matches_direct_propagation(monkeypatch):
     p = cl.ClassicalParams(5.0, 1.215, 1.1)
-    series = lv.ensemble_evolve(ens, p, 5)
-    states = ens.states
-    for n in range(6):
-        lmean = states[:, 3:].mean(axis=0)
-        assert np.max(np.abs(series.l_tilde_mean[n] - lmean)) < 1e-13
-        assert abs(series.var_norm_l[n] - (1.0 - lmean @ lmean)) < 1e-13
-        states = cl.map_step(states, p)
+    # 700 trajectories in one chunk, then in chunks of 250, 250 and 200
+    for chunk in (lv._CHUNK, 250):
+        monkeypatch.setattr(lv, "_CHUNK", chunk)
+        ens = _small_ensemble(n=700)
+        assert sum(1 for _ in ens.iter_chunks()) == math.ceil(700 / chunk)
+        series = lv.ensemble_evolve(ens, p, 5)
+        states = ens.states
+        for n in range(6):
+            lmean = states[:, 3:].mean(axis=0)
+            assert np.max(np.abs(series.l_tilde_mean[n] - lmean)) < 1e-13
+            assert abs(series.var_norm_l[n] - (1.0 - lmean @ lmean)) < 1e-13
+            if n < 5:
+                states = cl.map_step(states, p)
+        assert np.array_equal(series.pz_final, lv.marginal_pz_classical(states, 22))
 
 
-def test_ensemble_evolve_deterministic_and_chunk_invariant_draws():
+def test_ensemble_evolve_deterministic():
     p = cl.ClassicalParams(5.0, 2.835, 1.1)
     s1 = lv.ensemble_evolve(_small_ensemble(), p, 4)
     s2 = lv.ensemble_evolve(_small_ensemble(), p, 4)
@@ -227,8 +230,7 @@ def test_marginal_initial_matches_quantum():
 def test_marginal_relaxes_near_uniform():
     l, n = 22, 100_000
     ens = _small_ensemble(n=n)
-    states = lv.evolve_states(ens, cl.ClassicalParams(5.0, 2.835, 1.1), 15)
-    p = lv.marginal_pz_classical(states, l)
+    p = lv.ensemble_evolve(ens, cl.ClassicalParams(5.0, 2.835, 1.1), 15).pz_final
     u = 1.0 / (2 * l + 1)
     assert abs(p.sum() - 1.0) < 1e-12
     assert np.max(np.abs(p - u)) < 0.2 * u
@@ -238,7 +240,9 @@ def test_marginal_clamps_sliver_beyond_l():
     # equilibrium states put |L_z| in (l, sqrt(l(l+1))] with small probability
     l = 22
     ens = _small_ensemble(n=50_000, seed=23)
-    states = lv.evolve_states(ens, cl.ClassicalParams(5.0, 2.835, 1.1), 20)
+    states = ens.states
+    for _ in range(20):
+        states = cl.map_step(states, cl.ClassicalParams(5.0, 2.835, 1.1))
     lz = math.sqrt(l * (l + 1)) * states[:, 5]
     assert np.any(np.abs(lz) > l), "expected some mass in the clamped sliver"
     p = lv.marginal_pz_classical(states, l)

@@ -98,8 +98,7 @@ def test_classical_marginal_relaxes_to_near_uniform():
     ang = np.deg2rad([45.0, 70.0, 135.0, 70.0])
     ens = lv.build_ensemble(s, l, *ang, n_traj=1_000_000, seed=31)
     p_param = cl.ClassicalParams(A_ROT, 2.835, np.sqrt(l * (l + 1) / (s * (s + 1))))
-    states = lv.evolve_states(ens, p_param, 15)
-    p = lv.marginal_pz_classical(states, l)
+    p = lv.ensemble_evolve(ens, p_param, 15).pz_final
     u = 1.0 / (2 * l + 1)
     assert abs(p.sum() - 1.0) < 1e-12
     # relaxation at kick 15 is complete except for ~60% dips in the polar

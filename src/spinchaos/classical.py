@@ -322,31 +322,44 @@ def parallel_instability_onset(a: float, r: float, gamma_max: float = 10.0, tol:
 # Lyapunov exponents
 
 
-def lyapunov_exponent(x0, p: ClassicalParams, n_steps: int, renorm_every: int = 1):
+def lyapunov_exponent(
+    x0, p: ClassicalParams, n_steps: int, renorm_every: int = 1, checkpoints=None
+):
     """Largest Lyapunov exponent via tangent-vector stretching.
 
     The displacement starts as the unit vector along dSx, evolves with the
     tangent map along the fiducial trajectory, and its 1-norm stretching
-    factor is accumulated in log space with periodic renormalization:
+    factor is accumulated in log space with periodic renormalization
+    (Benettin et al., Meccanica 15, 9 (1980)):
     lambda = (1/N) * sum of log per-step 1-norm growth.
 
     ``x0`` may be a single state of shape (6,) or a batch (B, 6); the return
-    is a float or a (B,) array accordingly.
+    is a float or a (B,) array accordingly.  A single state steps as six
+    ``np.float64`` scalars through the same kernels as a batch, which spares
+    the per-call overhead of size-1 arrays and gives the same bits as ``x0[None]``.
+
+    ``checkpoints``, an increasing sequence of step counts in [1, n_steps],
+    makes one pass return the running exponent at each of them, shape (K,)
+    or (K, B); each value equals that of a fresh call with ``n_steps`` set to
+    the checkpoint, bit for bit, including the log of the partial stretch
+    since the last renormalization.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if renorm_every < 1:
         raise ValueError("renorm_every must be >= 1")
+    marks = [n_steps] if checkpoints is None else [int(k) for k in checkpoints]
+    if not marks or marks[0] < 1 or marks[-1] > n_steps or np.any(np.diff(marks) < 1):
+        raise ValueError("checkpoints must increase strictly within [1, n_steps]")
     x0 = np.asarray(x0, dtype=float)
     single = x0.ndim == 1
-    x = np.atleast_2d(x0).copy()
-    b = x.shape[0]
-    state = _split(x)
-    v = [np.zeros(b) for _ in range(6)]
-    v[0] = np.ones(b)
-    log_sum = np.zeros(b)
+    state = tuple(x0) if single else _split(x0.copy())
+    zero = np.float64(0.0) if single else np.zeros(x0.shape[0])
+    v = [zero + 1.0] + [zero] * 5
+    log_sum = zero + 0.0  # its own buffer: the batched += is in place
+    running = []
     since_renorm = 0
-    for _ in range(n_steps):
+    for step in range(1, marks[-1] + 1):
         rot = _x_rotations(*state, p)
         v = list(_tangent_apply_cols(rot, v, p))
         state = _map_cols(*state, p, rot=rot)
@@ -357,13 +370,15 @@ def lyapunov_exponent(x0, p: ClassicalParams, n_steps: int, renorm_every: int = 
             for i in range(6):
                 v[i] = v[i] / d
             since_renorm = 0
-    if since_renorm:
-        d = sum(np.abs(comp) for comp in v)
-        log_sum += np.log(d)
-    if not np.all(np.isfinite(log_sum)):
+        if step == marks[len(running)]:
+            total = log_sum + np.log(sum(np.abs(comp) for comp in v)) if since_renorm else log_sum
+            running.append(total / step)
+    lam = np.array(running)
+    if not np.all(np.isfinite(lam)):
         raise FloatingPointError("non-finite tangent growth in Lyapunov accumulation")
-    lam = log_sum / n_steps
-    return float(lam[0]) if single else lam
+    if checkpoints is not None:
+        return lam
+    return float(lam[0]) if single else lam[0]
 
 
 @dataclass(frozen=True)

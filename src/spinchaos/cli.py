@@ -170,6 +170,12 @@ def choose_s_for_r(l: float, r_target: float, tolerance: float = 0.05) -> int:
     return s
 
 
+def _require_positive(cfg: dict, keys: list[str]) -> None:
+    for key in keys:
+        if cfg[key] < 1:
+            raise ConfigError(f"key {key!r} must be >= 1, got {cfg[key]}")
+
+
 def _coupling(cfg: dict, mode: str) -> dict:
     """Resolve (a, c, gamma, r, s, l) for quantum-bearing modes."""
     _require(cfg, ["a", "s", "l"], mode)
@@ -297,13 +303,14 @@ def _run_classical_traj(cfg: dict, outdir: Path) -> dict:
 def _run_lyapunov(cfg: dict, outdir: Path) -> dict:
     p = _classical_params(cfg, "lyapunov")
     ang = _angles(cfg, "lyapunov")
+    _require_positive(cfg, ["n_steps", "sample_every"])
     x0 = classical.angles_to_state(*ang)
     n_steps, every = cfg["n_steps"], cfg["sample_every"]
     checkpoints = list(range(every, n_steps + 1, every))
     if not checkpoints or checkpoints[-1] != n_steps:
         checkpoints.append(n_steps)
-    running = [classical.lyapunov_exponent(x0, p, n) for n in checkpoints]
-    lam = running[-1]
+    running = classical.lyapunov_exponent(x0, p, n_steps, checkpoints=checkpoints)
+    lam = float(running[-1])
     write_csv(outdir / "lyapunov.csv", {"n": np.array(checkpoints), "lambda_running": running})
     (outdir / "summary.txt").write_text(f"lambda_L = {lam:.17g} (n_steps = {n_steps})\n")
     return {"a": p.a, "gamma": p.gamma, "r": p.r, "lambda_L": lam}
@@ -311,6 +318,7 @@ def _run_lyapunov(cfg: dict, outdir: Path) -> dict:
 
 def _run_regime_scan(cfg: dict, outdir: Path) -> dict:
     p = _classical_params(cfg, "regime-scan")
+    _require_positive(cfg, ["scan_steps"])
     res = classical.regime_scan(
         p, cfg["n_samples"], cfg["scan_steps"], cfg["lambda_threshold"], cfg["seed"]
     )
@@ -401,6 +409,7 @@ def _fit_report(qs, cs, d, cfg: dict, conv: dict, ang: np.ndarray) -> tuple[list
 
 def _run_compare(cfg: dict, outdir: Path) -> dict:
     conv = _coupling(cfg, "compare")
+    _require_positive(cfg, ["lyap_steps"])
     ang = _angles(cfg, "compare")
     qs = _quantum_series(conv, ang, cfg["n_kicks"])
     cs = _ensemble_series(conv, ang, cfg)

@@ -246,6 +246,45 @@ def test_lyapunov_input_validation():
         cl.lyapunov_exponent(CHAOTIC_IC, MIXED, 10, renorm_every=0)
 
 
+CHECKPOINTS = [1, 5, 700, 1000, 1003]
+
+
+@pytest.mark.parametrize("renorm_every", [1, 7])
+def test_lyapunov_checkpoints_equal_fresh_calls(renorm_every):
+    running = cl.lyapunov_exponent(
+        CHAOTIC_IC, MIXED, 1003, renorm_every=renorm_every, checkpoints=CHECKPOINTS
+    )
+    assert running.shape == (len(CHECKPOINTS),)
+    for lam, k in zip(running, CHECKPOINTS):
+        assert lam == cl.lyapunov_exponent(CHAOTIC_IC, MIXED, k, renorm_every=renorm_every)
+
+
+def test_lyapunov_checkpoints_batched():
+    xs = np.stack([CHAOTIC_IC, cl.angles_to_state(*np.deg2rad([5.0, 5.0, 5.0, 5.0]))])
+    running = cl.lyapunov_exponent(xs, MIXED, 1003, renorm_every=7, checkpoints=CHECKPOINTS)
+    assert running.shape == (len(CHECKPOINTS), 2)
+    for lams, k in zip(running, CHECKPOINTS):
+        assert np.array_equal(lams, cl.lyapunov_exponent(xs, MIXED, k, renorm_every=7))
+
+
+@pytest.mark.parametrize("checkpoints", [[], [5, 5], [700, 5], [0, 5], [5, 1004]])
+def test_lyapunov_checkpoints_validation(checkpoints):
+    with pytest.raises(ValueError, match="checkpoints"):
+        cl.lyapunov_exponent(CHAOTIC_IC, MIXED, 1003, checkpoints=checkpoints)
+
+
+def test_lyapunov_single_state_equals_batch_of_one():
+    # the scalar path for one state runs the kernels of the batched path
+    for re in (1, 7):
+        assert cl.lyapunov_exponent(CHAOTIC_IC, MIXED, 1003, renorm_every=re) == (
+            cl.lyapunov_exponent(CHAOTIC_IC[None], MIXED, 1003, renorm_every=re)[0]
+        )
+        assert np.array_equal(
+            cl.lyapunov_exponent(CHAOTIC_IC, MIXED, 1003, re, checkpoints=CHECKPOINTS),
+            cl.lyapunov_exponent(CHAOTIC_IC[None], MIXED, 1003, re, checkpoints=CHECKPOINTS)[:, 0],
+        )
+
+
 def test_regime_scan_integrable_limit():
     p = cl.ClassicalParams(a=1.3, gamma=0.0, r=1.2)
     res = cl.regime_scan(p, n_samples=200, n_steps=2000, seed=9)

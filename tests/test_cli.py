@@ -178,6 +178,54 @@ def test_lyapunov_mode(tmp_path):
     assert data.shape[0] == 4
 
 
+LYAPUNOV_ARGS = ["a=5", "gamma=1.215", "r=1.1", "theta_s=20", "phi_s=40", "theta_l=160",
+                 "phi_l=130"]
+
+
+def test_lyapunov_mode_takes_each_step_once(monkeypatch, tmp_path):
+    calls = []
+    real_rotations = classical._x_rotations
+
+    def counting_rotations(*args, **kwargs):
+        calls.append(1)
+        return real_rotations(*args, **kwargs)
+
+    monkeypatch.setattr(classical, "_x_rotations", counting_rotations)
+    cfg = cli.parse_config(
+        None, [f"outdir={tmp_path}", *LYAPUNOV_ARGS, "n_steps=2500", "sample_every=1000"]
+    )
+    assert cli.run("lyapunov", cfg) == 0
+    assert len(calls) == 2500
+
+    data = np.genfromtxt(tmp_path / "lyapunov.csv", delimiter=",", names=True)
+    assert data["n"].tolist() == [1000, 2000, 2500]
+    x0 = classical.angles_to_state(*np.deg2rad([20, 40, 160, 130]))
+    p = classical.ClassicalParams(5.0, 1.215, 1.1)
+    for n, lam in zip(data["n"], data["lambda_running"]):
+        assert lam == classical.lyapunov_exponent(x0, p, int(n))
+
+
+@pytest.mark.parametrize(
+    "mode, overrides",
+    [
+        ("lyapunov", [*LYAPUNOV_ARGS, "n_steps=0"]),
+        ("lyapunov", [*LYAPUNOV_ARGS, "sample_every=0"]),
+        ("lyapunov", [*LYAPUNOV_ARGS, "n_steps=100", "sample_every=-5"]),
+        ("regime-scan", ["a=5", "gamma=1.215", "r=1.1", "n_samples=10", "scan_steps=0"]),
+        ("compare", ["a=5", "gamma=1.215", "s=10", "l=11", "theta_s=45", "phi_s=70",
+                     "theta_l=135", "phi_l=70", "n_kicks=2", "n_traj=1000", "lyap_steps=0"]),
+    ],
+)
+def test_non_positive_step_counts_are_config_errors(mode, overrides, tmp_path, capsys):
+    key = overrides[-1].split("=")[0]
+    argv = [mode, "--set", f"outdir={tmp_path}"]
+    for item in overrides:
+        argv += ["--set", item]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+
+
 def test_regime_scan_mode(tmp_path):
     out = tmp_path / "scan"
     res = run_cli(

@@ -29,8 +29,6 @@ __all__ = [
     "angles_to_state",
     "state_to_canonical",
     "canonical_to_state",
-    "canonical_map_step",
-    "tangent_map",
     "tangent_apply",
     "fixed_point_state",
     "fixed_point_eigenvalues",
@@ -173,52 +171,8 @@ def canonical_to_state(c):
     return out
 
 
-def canonical_map_step(c, p: ClassicalParams):
-    """One kick expressed in the canonical chart (used for measure checks)."""
-    return state_to_canonical(map_step(canonical_to_state(c), p))[0]
-
-
 # ---------------------------------------------------------------------------
 # tangent dynamics
-
-
-def tangent_map(x, p: ClassicalParams):
-    """Jacobian M = dF/dx of the six update equations at x (shape (...,6,6)).
-
-    This is the derivative of the raw mapping equations (no renormalization);
-    on the spin spheres it coincides with the physical tangent dynamics.
-    """
-    x = np.asarray(x, dtype=float)
-    ca, sa = np.cos(p.a), np.sin(p.a)
-    gr = p.gamma * p.r
-    cal, sal, cbe, sbe, syr, szr, lyr, lzr = _x_rotations(*_split(x), p)
-
-    m = np.zeros(x.shape[:-1] + (6, 6))
-    # S' rows
-    m[..., 0, 0] = ca
-    m[..., 0, 1] = -cal * sa
-    m[..., 0, 2] = sal * sa
-    m[..., 0, 3] = gr * szr * sa
-    m[..., 1, 0] = sa
-    m[..., 1, 1] = cal * ca
-    m[..., 1, 2] = -sal * ca
-    m[..., 1, 3] = -gr * szr * ca
-    m[..., 2, 1] = sal
-    m[..., 2, 2] = cal
-    m[..., 2, 3] = gr * syr
-    # L' rows
-    m[..., 3, 3] = ca
-    m[..., 3, 4] = -cbe * sa
-    m[..., 3, 5] = sbe * sa
-    m[..., 3, 0] = p.gamma * lzr * sa
-    m[..., 4, 3] = sa
-    m[..., 4, 4] = cbe * ca
-    m[..., 4, 5] = -sbe * ca
-    m[..., 4, 0] = -p.gamma * lzr * ca
-    m[..., 5, 4] = sbe
-    m[..., 5, 5] = cbe
-    m[..., 5, 0] = p.gamma * lyr
-    return m
 
 
 def _tangent_apply_cols(rot, v_cols, p: ClassicalParams):
@@ -246,7 +200,12 @@ def _tangent_apply_cols(rot, v_cols, p: ClassicalParams):
 
 
 def tangent_apply(x, v, p: ClassicalParams):
-    """M(x) @ v without materializing the Jacobian; batched like map_step."""
+    """M(x) @ v for the Jacobian M = dF/dx of the six update equations.
+
+    M is the derivative of the raw equations (no renormalization); on the spin
+    spheres it coincides with the physical tangent dynamics.  It is never
+    built as a matrix; batched like map_step.
+    """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     out = np.empty(np.broadcast_shapes(x.shape, v.shape))

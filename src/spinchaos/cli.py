@@ -80,6 +80,18 @@ _SCHEMA = {
     "dump_pz": (int, 0),
 }
 
+# count key -> smallest accepted value, checked for every mode
+_MINIMUMS = {
+    "n_kicks": 0,
+    "n_traj": 1,
+    "n_steps": 1,
+    "sample_every": 1,
+    "n_samples": 1,
+    "scan_steps": 1,
+    "lyap_steps": 1,
+    "ma_window": 1,
+}
+
 
 def parse_config(path: str | None, overrides: list[str]) -> dict:
     """Flat key=value file plus --set overrides, validated against the schema."""
@@ -109,6 +121,9 @@ def parse_config(path: str | None, overrides: list[str]) -> dict:
             cfg[key] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: cannot parse {value!r} as {parser.__name__}") from exc
+    for key, lowest in _MINIMUMS.items():
+        if cfg[key] < lowest:
+            raise ConfigError(f"key {key!r} must be >= {lowest}, got {cfg[key]}")
     return cfg
 
 
@@ -168,12 +183,6 @@ def choose_s_for_r(l: float, r_target: float, tolerance: float = 0.05) -> int:
             f"no integer s gives r within {tolerance} of {r_target} for l={l}; nearest: {listing}"
         )
     return s
-
-
-def _require_positive(cfg: dict, keys: list[str]) -> None:
-    for key in keys:
-        if cfg[key] < 1:
-            raise ConfigError(f"key {key!r} must be >= 1, got {cfg[key]}")
 
 
 def _coupling(cfg: dict, mode: str) -> dict:
@@ -303,7 +312,6 @@ def _run_classical_traj(cfg: dict, outdir: Path) -> dict:
 def _run_lyapunov(cfg: dict, outdir: Path) -> dict:
     p = _classical_params(cfg, "lyapunov")
     ang = _angles(cfg, "lyapunov")
-    _require_positive(cfg, ["n_steps", "sample_every"])
     x0 = classical.angles_to_state(*ang)
     n_steps, every = cfg["n_steps"], cfg["sample_every"]
     checkpoints = list(range(every, n_steps + 1, every))
@@ -318,7 +326,6 @@ def _run_lyapunov(cfg: dict, outdir: Path) -> dict:
 
 def _run_regime_scan(cfg: dict, outdir: Path) -> dict:
     p = _classical_params(cfg, "regime-scan")
-    _require_positive(cfg, ["scan_steps"])
     res = classical.regime_scan(
         p, cfg["n_samples"], cfg["scan_steps"], cfg["lambda_threshold"], cfg["seed"]
     )
@@ -409,7 +416,6 @@ def _fit_report(qs, cs, d, cfg: dict, conv: dict, ang: np.ndarray) -> tuple[list
 
 def _run_compare(cfg: dict, outdir: Path) -> dict:
     conv = _coupling(cfg, "compare")
-    _require_positive(cfg, ["lyap_steps"])
     ang = _angles(cfg, "compare")
     qs = _quantum_series(conv, ang, cfg["n_kicks"])
     cs = _ensemble_series(conv, ang, cfg)

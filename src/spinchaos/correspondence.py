@@ -39,7 +39,6 @@ __all__ = [
     "break_time",
     "fit_break_scaling",
     "saturation_time",
-    "max_difference",
 ]
 
 
@@ -275,9 +274,3 @@ def saturation_time(lambda_w: float, l: float) -> float:
         raise ValueError("lambda_w must be positive")
     return math.log(l) / (2.0 * lambda_w)
 
-
-def max_difference(d: DifferenceSeries, horizon: int = 200) -> float:
-    """Largest difference over kicks 1..horizon (the initial offset excluded)."""
-    if len(d) <= horizon:
-        raise ValueError(f"series of length {len(d)} too short for horizon {horizon}")
-    return float(np.max(d.delta[1 : horizon + 1]))

@@ -36,16 +36,12 @@ __all__ = [
     "Observables",
     "QuantumMomentSeries",
     "wigner_d",
-    "rotation_matrix",
     "coherent_state",
     "product_state",
     "build_floquet",
     "evolve_series",
     "observables",
     "marginal_pz",
-    "expect_ladder",
-    "expect_jz",
-    "expect_jx2",
 ]
 
 
@@ -83,14 +79,6 @@ class SpinQuantum:
     @property
     def dim(self) -> int:
         return dim_of(self.j)
-
-    @property
-    def magnitude(self) -> float:
-        """Classical-limit magnitude sqrt(j(j+1))."""
-        return float(np.sqrt(self.j * (self.j + 1.0)))
-
-    def m_values(self) -> np.ndarray:
-        return m_values(self.j)
 
 
 def _wigner_d_impl(twoj: int, theta: float) -> np.ndarray:
@@ -140,16 +128,6 @@ def wigner_d(j, theta: float) -> np.ndarray:
     return _wigner_d_cached(int(round(2 * jf)), float(theta))
 
 
-def rotation_matrix(j, theta: float, phi: float) -> np.ndarray:
-    """Full rotation matrix <j,m'|R^(j)(theta,phi)|j,m> = e^{-i m' phi} d^(j)_{m',m}(theta)."""
-    jf = _as_j(j)
-    d = wigner_d(jf, theta)
-    if phi == 0.0:
-        return d.astype(complex)
-    phases = np.exp(-1j * phi * m_values(jf))
-    return phases[:, None] * d
-
-
 def coherent_state(j, theta: float, phi: float) -> np.ndarray:
     """SU(2) coherent state R^(j)(theta,phi)|j,j> as an amplitude vector.
 
@@ -191,9 +169,6 @@ class QuantumState:
     @property
     def matrix(self) -> np.ndarray:
         return self.amplitudes.reshape(self.s.dim, self.l.dim)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 def product_state(s, l, vec_s: np.ndarray, vec_l: np.ndarray) -> QuantumState:
@@ -256,29 +231,6 @@ def _ladder_coeffs(j: float) -> np.ndarray:
     return np.sqrt(np.maximum((j - m) * (j + m + 1.0), 0.0))
 
 
-def expect_ladder(vec: np.ndarray, j) -> complex:
-    """<J_+> for a single-spin amplitude vector in descending-m order."""
-    jf = _as_j(j)
-    cp = _ladder_coeffs(jf)
-    # J_+|m> = c_+(m)|m+1>; with descending index i(m) = j-m, |m+1> sits at i-1
-    return complex(np.sum(np.conj(vec[:-1]) * cp[1:] * vec[1:]))
-
-
-def expect_jz(vec: np.ndarray, j) -> float:
-    jf = _as_j(j)
-    return float(np.sum(m_values(jf) * np.abs(vec) ** 2))
-
-
-def expect_jx2(vec: np.ndarray, j) -> float:
-    """<J_x^2> via one application of J_x = (J_+ + J_-)/2."""
-    jf = _as_j(j)
-    cp = _ladder_coeffs(jf)
-    jx_vec = np.zeros_like(vec, dtype=complex)
-    jx_vec[:-1] += 0.5 * cp[1:] * vec[1:]  # J_+ raises m: index i -> i-1
-    jx_vec[1:] += 0.5 * cp[1:] * vec[:-1]  # J_- lowers m, c_-(m) = c_+(m-1)
-    return float(np.real(np.vdot(jx_vec, jx_vec)))
-
-
 @dataclass(frozen=True)
 class Observables:
     """Single-kick expectation values for both subsystems.
@@ -298,14 +250,6 @@ class Observables:
     l2: float
     var_norm_s: float
     var_norm_l: float
-
-    @property
-    def lz_norm(self) -> float:
-        return self.lz / np.sqrt(self.l2)
-
-    @property
-    def sz_norm(self) -> float:
-        return self.sz / np.sqrt(self.s2)
 
 
 def observables(state: QuantumState) -> Observables:

@@ -18,7 +18,7 @@ from spinchaos import liouville as lv
 from spinchaos import quantum as qm
 
 from conftest import A_ROT, IC_CHAOTIC, IC_REGULAR, make_paired_run
-from oracles import jx_matrix, wigner_d_formula
+from oracles import jx_matrix, jz_matrix, ladder_plus, wigner_d_formula
 
 
 def report(num: int, name: str, ok: bool, detail: str):
@@ -52,7 +52,7 @@ def test_criterion_1_kinematics():
         140, 154, qm.coherent_state(140, 0.3, 0.1), qm.coherent_state(154, 2.0, 1.2)
     )
     evolved = qm.evolve_series(state, f, 200).final
-    checks["norm 200 kicks 1e-12"] = abs(evolved.norm() - 1.0) < 1e-12
+    checks["norm 200 kicks 1e-12"] = abs(np.linalg.norm(evolved.amplitudes) - 1.0) < 1e-12
     obs0, obs1 = qm.observables(state), qm.observables(evolved)
     checks["Casimir conserved 1e-12"] = (
         abs(obs1.l2 - obs0.l2) < 1e-12 * obs0.l2 and abs(obs1.s2 - obs0.s2) < 1e-12 * obs0.s2
@@ -76,12 +76,14 @@ def test_criterion_1_kinematics():
     for j in (10, 55.5, 154):
         for theta, phi in ((0.0, 0.0), (np.deg2rad(45), np.deg2rad(70))):
             vec = qm.coherent_state(j, theta, phi)
-            jz = qm.expect_jz(vec, j)
-            jp = qm.expect_ladder(vec, j)
+            jz = np.vdot(vec, jz_matrix(j) @ vec).real
+            jp = np.vdot(vec, ladder_plus(j) @ vec)
             var_norm = (j * (j + 1) - jz**2 - abs(jp) ** 2) / (j * (j + 1))
             coh_ok &= abs(jz - j * np.cos(theta)) < 1e-10
+            coh_ok &= abs(jp - j * np.sin(theta) * np.exp(1j * phi)) < 1e-10
             coh_ok &= abs(var_norm - 1.0 / (j + 1)) < 1e-10
-        coh_ok &= abs(qm.expect_jx2(qm.coherent_state(j, 0.0, 0.0), j) - j / 2.0) < 1e-10
+        polar = qm.coherent_state(j, 0.0, 0.0)
+        coh_ok &= abs(np.linalg.norm(jx_matrix(j) @ polar) ** 2 - j / 2.0) < 1e-10
     checks["coherent identities 1e-10"] = bool(coh_ok)
 
     elapsed = time.perf_counter() - t0
@@ -295,8 +297,10 @@ def test_criterion_6_correspondence_exponents(mixed_run_hi, global_run_hi_ic2, b
 
 def test_criterion_7_saturation_phenomenology(global_run_ic1, global_run_ic2):
     t0 = time.perf_counter()
-    dmax_typical = corr.max_difference(global_run_ic1.d, horizon=200)
-    dmax_peak = corr.max_difference(global_run_ic2.d, horizon=200)
+    # largest difference over kicks 1..200, the initial offset excluded
+    assert len(global_run_ic1.d.delta) > 200 and len(global_run_ic2.d.delta) > 200
+    dmax_typical = np.max(global_run_ic1.d.delta[1:201])
+    dmax_peak = np.max(global_run_ic2.d.delta[1:201])
     relax = {
         "q1": global_run_ic1.q.l_tilde_mean[30, 2],
         "c1": global_run_ic1.c.l_tilde_mean[30, 2],
@@ -339,7 +343,10 @@ def test_criterion_8_property_suite(tmp_path):
             continue
         p = cl.ClassicalParams(rng.uniform(0.1, 6.1), rng.uniform(-3, 3), rng.uniform(1, 4))
         jac = fd_jacobian(
-            lambda cc: cl.canonical_map_step(cc, p), canon, wrap_cols=(1, 3), richardson=True
+            lambda cc: cl.state_to_canonical(cl.map_step(cl.canonical_to_state(cc), p))[0],
+            canon,
+            wrap_cols=(1, 3),
+            richardson=True,
         )
         worst_det = max(worst_det, abs(abs(np.linalg.det(jac)) - 1.0))
         count += 1
@@ -352,7 +359,7 @@ def test_criterion_8_property_suite(tmp_path):
         v[:3] /= np.linalg.norm(v[:3])
         v[3:] /= np.linalg.norm(v[3:])
         p = cl.ClassicalParams(rng.uniform(0.1, 6.1), rng.uniform(-3, 3), rng.uniform(1, 4))
-        m = cl.tangent_map(v, p)
+        m = np.swapaxes(cl.tangent_apply(v[..., None, :], np.eye(6), p), -1, -2)
         fd = fd_jacobian(lambda y: cl.map_step(y, p, renormalize=False), v)
         worst_fd = max(worst_fd, float(np.max(np.abs(m - fd))))
     checks["tangent map vs FD 1e-5"] = worst_fd < 1e-5

@@ -3,7 +3,12 @@ import pytest
 
 from spinchaos import classical as cl
 
-from oracles import fd_jacobian, map_step_longdouble, map_step_rotation_compose
+from oracles import (
+    complex_step_jacobian,
+    fd_jacobian,
+    map_step_longdouble,
+    map_step_rotation_compose,
+)
 
 MIXED = cl.ClassicalParams(a=5.0, gamma=1.215, r=1.1)
 CHAOTIC_IC = cl.angles_to_state(*np.deg2rad([20.0, 40.0, 160.0, 130.0]))
@@ -14,6 +19,11 @@ def random_states(n, rng):
     v[:, :3] /= np.linalg.norm(v[:, :3], axis=1, keepdims=True)
     v[:, 3:] /= np.linalg.norm(v[:, 3:], axis=1, keepdims=True)
     return v
+
+
+def tangent_matrix(x, p):
+    """The 6x6 Jacobian at x (batched), one column per unit displacement."""
+    return np.swapaxes(cl.tangent_apply(x[..., None, :], np.eye(6), p), -1, -2)
 
 
 def random_params(rng):
@@ -128,9 +138,9 @@ def test_pole_flag():
 # tangent map
 
 
-def test_tangent_map_decoupled_eigenvalues():
+def test_tangent_decoupled_eigenvalues():
     p = cl.ClassicalParams(a=1.1, gamma=0.0, r=1.5)
-    m = cl.tangent_map(cl.angles_to_state(0.7, 0.2, 2.0, 1.0), p)
+    m = tangent_matrix(cl.angles_to_state(0.7, 0.2, 2.0, 1.0), p)
     eig = np.sort_complex(np.linalg.eigvals(m))
     expected = np.sort_complex(
         np.array([np.exp(1j * 1.1), np.exp(-1j * 1.1)] * 2 + [1.0, 1.0])
@@ -138,12 +148,12 @@ def test_tangent_map_decoupled_eigenvalues():
     assert np.max(np.abs(eig - expected)) < 1e-10
 
 
-def test_tangent_map_matches_finite_differences():
+def test_tangent_matches_finite_differences():
     rng = np.random.default_rng(17)
     for _ in range(100):
         x = random_states(1, rng)[0]
         p = random_params(rng)
-        m = cl.tangent_map(x, p)
+        m = tangent_matrix(x, p)
         fd = fd_jacobian(lambda y: cl.map_step(y, p, renormalize=False), x)
         assert np.max(np.abs(m - fd)) < 1e-5
 
@@ -152,7 +162,7 @@ def test_tangent_apply_consistent_with_matrix():
     rng = np.random.default_rng(23)
     x = random_states(30, rng)
     v = rng.normal(size=(30, 6))
-    m = cl.tangent_map(x, MIXED)
+    m = complex_step_jacobian(x, MIXED.a, MIXED.gamma, MIXED.r)
     direct = cl.tangent_apply(x, v, MIXED)
     via_matrix = np.einsum("bij,bj->bi", m, v)
     assert np.max(np.abs(direct - via_matrix)) < 1e-12
@@ -169,15 +179,19 @@ def test_canonical_chart_preserves_measure():
         if max(abs(canon[0]), abs(canon[2])) > 0.9:
             continue
         p = random_params(rng)
-        jac = fd_jacobian(lambda c: cl.canonical_map_step(c, p), canon, wrap_cols=(1, 3))
+        jac = fd_jacobian(
+            lambda c: cl.state_to_canonical(cl.map_step(cl.canonical_to_state(c), p))[0],
+            canon,
+            wrap_cols=(1, 3),
+        )
         det = np.linalg.det(jac)
         assert abs(abs(det) - 1.0) < 1e-8, f"det={det} at {canon}, {p}"
         count += 1
 
 
-def test_tangent_map_at_fixed_point_matches_quartic_roots():
+def test_tangent_at_fixed_point_matches_quartic_roots():
     for kind in (cl.PARALLEL, cl.ANTIPARALLEL):
-        m = cl.tangent_map(cl.fixed_point_state(kind), MIXED)
+        m = tangent_matrix(cl.fixed_point_state(kind), MIXED)
         eig = np.linalg.eigvals(m)
         # discard the two trivial unit eigenvalues along the sphere normals
         quartic = cl.fixed_point_eigenvalues(MIXED, kind)

@@ -180,6 +180,8 @@ def test_lyapunov_mode(tmp_path):
 
 LYAPUNOV_ARGS = ["a=5", "gamma=1.215", "r=1.1", "theta_s=20", "phi_s=40", "theta_l=160",
                  "phi_l=130"]
+COMPARE_ARGS = ["a=5", "gamma=1.215", "s=10", "l=11", "theta_s=45", "phi_s=70", "theta_l=135",
+                "phi_l=70"]
 
 
 def test_lyapunov_mode_takes_each_step_once(monkeypatch, tmp_path):
@@ -212,8 +214,15 @@ def test_lyapunov_mode_takes_each_step_once(monkeypatch, tmp_path):
         ("lyapunov", [*LYAPUNOV_ARGS, "sample_every=0"]),
         ("lyapunov", [*LYAPUNOV_ARGS, "n_steps=100", "sample_every=-5"]),
         ("regime-scan", ["a=5", "gamma=1.215", "r=1.1", "n_samples=10", "scan_steps=0"]),
-        ("compare", ["a=5", "gamma=1.215", "s=10", "l=11", "theta_s=45", "phi_s=70",
-                     "theta_l=135", "phi_l=70", "n_kicks=2", "n_traj=1000", "lyap_steps=0"]),
+        ("compare", [*COMPARE_ARGS, "n_kicks=2", "n_traj=1000", "lyap_steps=0"]),
+        ("regime-scan", ["a=5", "gamma=1.215", "r=1.1", "scan_steps=10", "n_samples=0"]),
+        ("compare", [*COMPARE_ARGS, "n_traj=1000", "lyap_steps=10", "n_kicks=-1"]),
+        ("compare", [*COMPARE_ARGS, "n_kicks=2", "lyap_steps=10", "n_traj=0"]),
+        ("classical-traj", [*LYAPUNOV_ARGS, "n_kicks=-3"]),
+        ("ensemble", [*COMPARE_ARGS, "n_traj=1000", "n_kicks=-2"]),
+        ("quantum", [*COMPARE_ARGS, "n_kicks=-2"]),
+        ("appendix-check", ["j=3", "n_samples=0"]),
+        ("compare", [*COMPARE_ARGS, "n_kicks=2", "n_traj=1000", "lyap_steps=10", "ma_window=0"]),
     ],
 )
 def test_non_positive_step_counts_are_config_errors(mode, overrides, tmp_path, capsys):
@@ -348,3 +357,14 @@ def test_appendix_check_mode(tmp_path):
     assert "quantum <Jx^4> = 72.5" in summary
     assert "classical <Jx^4> = 37.5" in summary
     assert "delta Jx^4 = 35" in summary
+
+
+# ---------------------------------------------------------------------------
+# package
+
+
+def test_every_name_in_all_exists():
+    # the benchmark's tracer looks up every __all__ name with getattr
+    for module in (classical, cli, correspondence, liouville, quantum):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names missing {missing}"

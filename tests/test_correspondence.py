@@ -194,7 +194,7 @@ def test_break_scaling_validation():
 
 
 # ---------------------------------------------------------------------------
-# saturation estimates and maxima
+# saturation estimates
 
 
 def test_saturation_time_values():
@@ -203,14 +203,6 @@ def test_saturation_time_values():
     assert corr.saturation_time(0.5, 1) == 0.0
     with pytest.raises(ValueError):
         corr.saturation_time(0.0, 154)
-
-
-def test_max_difference_monotone_series():
-    d = make_diff(np.linspace(0.0, 2.0, 301))
-    assert corr.max_difference(d, horizon=200) == d.delta[200]
-    assert corr.max_difference(d, horizon=300) == d.delta[300]
-    with pytest.raises(ValueError):
-        corr.max_difference(make_diff(np.zeros(100)), horizon=200)
 
 
 def test_detect_saturation_kick():

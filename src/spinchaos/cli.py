@@ -18,7 +18,9 @@ Exactly one coupling parameterization may be given: quantum ``c`` or scaled
 ``gamma`` (they convert via gamma = c sqrt(s(s+1))).
 
 Every run writes ``manifest.txt`` (config echo, derived parameters, code
-version, timestamps, seed).  Data CSVs contain no timestamps: rerunning with
+version, timestamps, seed; for modes that evolve, a ``[timings]`` section with
+the wall seconds of quantum evolution, ensemble propagation and the whole run,
+and the ensemble worker count).  Data CSVs contain no timestamps: rerunning with
 an identical config and seed reproduces them byte for byte.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical error.
@@ -212,7 +214,27 @@ def _angles(cfg: dict, mode: str) -> np.ndarray:
 # artifacts
 
 
-def _write_manifest(outdir: Path, mode: str, cfg: dict, derived: dict) -> None:
+# wall seconds per evolution stage of the current run, summed over an l sweep
+_stage_s: dict[str, float] = {}
+
+
+def _timed(stage: str):
+    """Add the wall time of every call of the decorated function to ``stage``."""
+
+    def decorate(fn):
+        def timed(*args):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                _stage_s[stage] = _stage_s.get(stage, 0.0) + time.perf_counter() - t0
+
+        return timed
+
+    return decorate
+
+
+def _write_manifest(outdir: Path, mode: str, cfg: dict, derived: dict, run_s: float) -> None:
     lines = [
         f"spinchaos {__version__}",
         f"mode: {mode}",
@@ -225,6 +247,15 @@ def _write_manifest(outdir: Path, mode: str, cfg: dict, derived: dict) -> None:
     if derived:
         lines += ["", "[derived]"]
         lines += [f"{key} = {value}" for key, value in derived.items()]
+    if _stage_s:
+        lines += [
+            "",
+            "[timings]",
+            f"quantum_evolution_s = {_stage_s.get('quantum_evolution_s', 0.0):.6f}",
+            f"ensemble_propagation_s = {_stage_s.get('ensemble_propagation_s', 0.0):.6f}",
+            f"run_s = {run_s:.6f}",
+            f"ensemble_workers = {liouville._WORKERS}",
+        ]
     (outdir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -246,6 +277,7 @@ def _moment_columns(series) -> dict:
     return cols
 
 
+@_timed("quantum_evolution_s")
 def _quantum_series(conv: dict, ang: np.ndarray, n_kicks: int):
     s, l = conv["s"], conv["l"]
     flo = quantum.build_floquet(s, l, conv["a"], conv["c"])
@@ -255,6 +287,7 @@ def _quantum_series(conv: dict, ang: np.ndarray, n_kicks: int):
     return quantum.evolve_series(state, flo, n_kicks)
 
 
+@_timed("ensemble_propagation_s")
 def _ensemble_series(conv: dict, ang: np.ndarray, cfg: dict):
     ens = liouville.build_ensemble(
         conv["s"], conv["l"], *ang, n_traj=cfg["n_traj"], seed=cfg["seed"]
@@ -569,8 +602,10 @@ def run(mode: str, cfg: dict) -> int:
     try:
         outdir = Path(cfg["outdir"])
         outdir.mkdir(parents=True, exist_ok=True)
+        _stage_s.clear()
+        t0 = time.perf_counter()
         derived = _RUNNERS[mode](cfg, outdir)
-        _write_manifest(outdir, mode, cfg, derived)
+        _write_manifest(outdir, mode, cfg, derived, time.perf_counter() - t0)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -14,15 +14,18 @@ density is periodic under 2 pi rotation and reproduces the quantum ratio
 with |J| = sqrt(j(j+1)).  Sampling uses the exact inverse CDF of the
 truncated exponential in Jz~, so no rejection step is needed.
 
-Ensembles are propagated with the stroboscopic map; trajectories are
-processed in fixed-size chunks drawn sequentially from one master-seeded
-generator, which keeps memory bounded and output deterministic for a given
-(seed, n_traj).
+Ensembles are propagated with the stroboscopic map.  Trajectories are drawn
+in fixed-size chunks, one after another, from one master-seeded generator,
+which keeps memory bounded and the Monte Carlo stream a function of
+(seed, n_traj) alone.  Each chunk is cut into fixed tiles that run every kick
+on one of up to two worker threads; the per-tile moment sums are added in tile
+order, so results depend on the tile size and never on the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +49,9 @@ __all__ = [
     "vector_model_mc",
 ]
 
-_CHUNK = 1_000_000  # trajectories drawn and propagated together
+_CHUNK = 1_000_000  # trajectories drawn together from the generator
+_TILE = 16_384  # trajectories propagated together through every kick
+_WORKERS = min(2, len(os.sched_getaffinity(0)))  # threads that propagate tiles
 
 
 def sigma2_for(j: float) -> float:
@@ -221,10 +226,13 @@ class MomentSeries:
     pz_final: np.ndarray = field(repr=False)       # (2l+1,), descending m_l
 
 
-def _moments_from_sums(sum1, sum2, n):
-    """Mean vector, per-component SE, normalized variance and its SE."""
-    mu = sum1 / n                       # (K, 3)
-    m2 = sum2 / n                       # (K, 3, 3) second moments
+def _moments_from_sums(sums, n):
+    """Mean vector, per-component SE, normalized variance and its SE.
+
+    ``sums`` is (K, 9): the raw sums of x, y, z, xx, yy, zz, xy, xz, yz.
+    """
+    mu = sums[:, :3] / n                                     # (K, 3)
+    m2 = sums[:, [3, 6, 7, 6, 4, 8, 7, 8, 5]].reshape(-1, 3, 3) / n
     cov_mean = (m2 - np.einsum("ka,kb->kab", mu, mu)) / n
     se = np.sqrt(np.maximum(np.einsum("kaa->ka", cov_mean), 0.0))
     var_norm = 1.0 - np.einsum("ka,ka->k", mu, mu)
@@ -232,36 +240,46 @@ def _moments_from_sums(sum1, sum2, n):
     return mu, se, var_norm, var_se
 
 
+def _tile_sums(cols, p: ClassicalParams, n_kicks: int, l: float):
+    """Run every kick on one tile; its (K, 2, 9) raw sums and final L_z counts."""
+    sums = np.empty((n_kicks + 1, 2, 9))
+    for n in range(n_kicks + 1):
+        for spin, (x, y, z) in enumerate((cols[:3], cols[3:])):
+            sums[n, spin] = (x.sum(), y.sum(), z.sum(), x @ x, y @ y, z @ z, x @ y, x @ z, y @ z)
+        if n < n_kicks:
+            cols = _map_cols(*cols, p)
+    return sums, _pz_counts(cols[5], l)
+
+
 def ensemble_evolve(ens: Ensemble, p: ClassicalParams, n_kicks: int) -> MomentSeries:
     """Propagate every trajectory and record moments at kicks 0..n_kicks.
 
-    After the last kick each chunk's L_z is binned as by
-    :func:`marginal_pz_classical`.  Chunks are accumulated in a fixed order,
-    so results are byte-identical across runs with the same (seed, n_traj).
+    Each chunk is cut into tiles of ``_TILE`` trajectories, and each tile runs
+    all kicks on one of ``_WORKERS`` threads, recording raw moment sums per
+    kick and binning its L_z after the last kick as by
+    :func:`marginal_pz_classical`.  The tile sums are added in tile order, so
+    results depend on the tile size but not on the worker count, and are
+    byte-identical across runs with the same (seed, n_traj).
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if n_kicks < 0:
         raise ValueError("n_kicks must be >= 0")
     K = n_kicks + 1
     l = ens.l_density.j
-    sum_s1 = np.zeros((K, 3))
-    sum_s2 = np.zeros((K, 3, 3))
-    sum_l1 = np.zeros((K, 3))
-    sum_l2 = np.zeros((K, 3, 3))
+    sums = np.zeros((K, 2, 9))
     pz_counts = 0
-    for cols in ens.iter_chunks():
-        for n in range(K):
-            svec = np.stack(cols[:3], axis=1)
-            lvec = np.stack(cols[3:], axis=1)
-            sum_s1[n] += svec.sum(axis=0)
-            sum_s2[n] += svec.T @ svec
-            sum_l1[n] += lvec.sum(axis=0)
-            sum_l2[n] += lvec.T @ lvec
-            if n < n_kicks:
-                cols = _map_cols(*cols, p)
-        pz_counts += _pz_counts(cols[5], l)
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        for cols in ens.iter_chunks():
+            tiles = [
+                tuple(c[i:i + _TILE] for c in cols) for i in range(0, cols[0].size, _TILE)
+            ]
+            for tile_sums, counts in pool.map(lambda t: _tile_sums(t, p, n_kicks, l), tiles):
+                sums += tile_sums
+                pz_counts += counts
     n_traj = ens.n_traj
-    s_mu, s_se, s_var, s_var_se = _moments_from_sums(sum_s1, sum_s2, n_traj)
-    l_mu, l_se, l_var, l_var_se = _moments_from_sums(sum_l1, sum_l2, n_traj)
+    s_mu, s_se, s_var, s_var_se = _moments_from_sums(sums[:, 0], n_traj)
+    l_mu, l_se, l_var, l_var_se = _moments_from_sums(sums[:, 1], n_traj)
     return MomentSeries(
         mag_s=ens.mag_s,
         mag_l=ens.mag_l,

@@ -265,6 +265,27 @@ def test_compare_mode_and_deterministic_replay(tmp_path):
     assert np.all(delta["delta_Lz"] >= 0.0)
 
 
+def test_compare_manifest_records_timings(tmp_path):
+    cfg = cli.parse_config(
+        None, [f"outdir={tmp_path}", *COMPARE_ARGS, "n_kicks=3", "n_traj=2000", "lyap_steps=100"]
+    )
+    assert cli.run("compare", cfg) == 0
+    manifest = (tmp_path / "manifest.txt").read_text()
+    assert "\n[timings]\n" in manifest
+    timings = dict(
+        line.split(" = ") for line in manifest.split("[timings]\n", 1)[1].splitlines()
+    )
+    assert list(timings) == [
+        "quantum_evolution_s", "ensemble_propagation_s", "run_s", "ensemble_workers"
+    ]
+    quantum_s, ensemble_s, run_s = (float(timings[key]) for key in list(timings)[:3])
+    assert quantum_s > 0.0 and ensemble_s > 0.0
+    assert quantum_s + ensemble_s <= run_s + 1e-5  # each rounded to 1e-6
+    assert int(timings["ensemble_workers"]) == liouville._WORKERS
+    for name in ("qmoments.csv", "cmoments.csv", "delta.csv", "summary.txt"):
+        assert "timings" not in (tmp_path / name).read_text()
+
+
 def test_ensemble_mode_seed_changes_output(tmp_path):
     base = ["ensemble", "--set", "a=5", "--set", "gamma=1.215", "--set", "s=10",
             "--set", "l=11", "--set", "theta_s=45", "--set", "phi_s=70",
@@ -277,14 +298,16 @@ def test_ensemble_mode_seed_changes_output(tmp_path):
 
 
 def test_ensemble_mode_dumps_pz_from_the_one_propagation(monkeypatch, tmp_path):
-    calls = []
+    # count trajectory-kicks, so that several tiles still add up to one pass
+    traj_kicks = []
     real_map = liouville._map_cols
 
     def counting_map(*args, **kwargs):
-        calls.append(1)
+        traj_kicks.append(args[0].size)
         return real_map(*args, **kwargs)
 
     monkeypatch.setattr(liouville, "_map_cols", counting_map)
+    monkeypatch.setattr(liouville, "_TILE", 512)
     cfg = cli.parse_config(
         None,
         [f"outdir={tmp_path}", "a=5", "gamma=1.215", "s=10", "l=11", "theta_s=45",
@@ -292,7 +315,8 @@ def test_ensemble_mode_dumps_pz_from_the_one_propagation(monkeypatch, tmp_path):
          "dump_pz=1"],
     )
     assert cli.run("ensemble", cfg) == 0
-    assert len(calls) == 4
+    assert len(traj_kicks) == 4 * 6  # 3000 trajectories in 6 tiles, 4 kicks each
+    assert sum(traj_kicks) == 3000 * 4
 
     conv = cli.params_convert(s=10, l=11, gamma=1.215)
     p = classical.ClassicalParams(5.0, conv["gamma"], conv["r"])

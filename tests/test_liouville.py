@@ -1,4 +1,6 @@
+import inspect
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -155,9 +157,11 @@ def test_ensemble_states_on_sphere_and_reproducible():
 
 def test_ensemble_evolve_matches_direct_propagation(monkeypatch):
     p = cl.ClassicalParams(5.0, 1.215, 1.1)
-    # 700 trajectories in one chunk, then in chunks of 250, 250 and 200
-    for chunk in (lv._CHUNK, 250):
+    # 700 trajectories in one chunk, then in chunks of 250, 250 and 200; with
+    # tiles of 64 some tiles end inside a chunk and some at its edge
+    for chunk, tile in ((lv._CHUNK, lv._TILE), (250, lv._TILE), (250, 64)):
         monkeypatch.setattr(lv, "_CHUNK", chunk)
+        monkeypatch.setattr(lv, "_TILE", tile)
         ens = _small_ensemble(n=700)
         assert sum(1 for _ in ens.iter_chunks()) == math.ceil(700 / chunk)
         series = lv.ensemble_evolve(ens, p, 5)
@@ -177,6 +181,43 @@ def test_ensemble_evolve_deterministic():
     s2 = lv.ensemble_evolve(_small_ensemble(), p, 4)
     assert np.array_equal(s1.l_tilde_mean, s2.l_tilde_mean)
     assert np.array_equal(s1.var_norm_l_se, s2.var_norm_l_se)
+
+
+def test_ensemble_evolve_independent_of_worker_count(monkeypatch):
+    p = cl.ClassicalParams(5.0, 2.835, 1.1)
+    monkeypatch.setattr(lv, "_TILE", 64)
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(lv, "_WORKERS", workers)
+        runs.append(lv.ensemble_evolve(_small_ensemble(n=1000), p, 6))
+    for name in ("kicks", "s_tilde_mean", "s_tilde_se", "l_tilde_mean", "l_tilde_se",
+                 "var_norm_s", "var_norm_s_se", "var_norm_l", "var_norm_l_se", "pz_final"):
+        assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name)), name
+
+
+def test_ensemble_workers_call_no_public_function(monkeypatch):
+    # A span tracer wraps every public function and keeps its spans on one
+    # stack, so a public call from a worker thread would corrupt that stack.
+    callers = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            callers.append((fn.__name__, threading.get_ident()))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (cl, lv):
+        for name in module.__all__:
+            fn = getattr(module, name)
+            if inspect.isfunction(fn):
+                monkeypatch.setattr(module, name, recording(fn))
+    monkeypatch.setattr(lv, "_TILE", 64)
+    monkeypatch.setattr(lv, "_WORKERS", 2)
+    ens = _small_ensemble(n=1000)
+    lv.ensemble_evolve(ens, cl.ClassicalParams(5.0, 2.835, 1.1), 6)
+    assert ("ensemble_evolve", threading.get_ident()) in callers
+    assert all(ident == threading.get_ident() for _, ident in callers), callers
 
 
 def test_ensemble_evolve_decoupled_keeps_lz():

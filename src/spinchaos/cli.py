@@ -18,10 +18,13 @@ Exactly one coupling parameterization may be given: quantum ``c`` or scaled
 ``gamma`` (they convert via gamma = c sqrt(s(s+1))).
 
 Every run writes ``manifest.txt`` (config echo, derived parameters, code
-version, timestamps, seed; for modes that evolve, a ``[timings]`` section with
-the wall seconds of quantum evolution, ensemble propagation and the whole run,
-and the ensemble worker count).  Data CSVs contain no timestamps: rerunning with
-an identical config and seed reproduces them byte for byte.
+version, timestamps, seed).  Modes that evolve a quantum state add a
+``[health]`` section with the largest norm drift of a kick, and modes that
+evolve add a ``[timings]`` section with the wall seconds of the quantum build
+(Floquet operator and coherent states), quantum evolution, ensemble
+propagation and the whole run, and the ensemble worker count.  Data CSVs
+contain no timestamps: rerunning with an identical config and seed reproduces
+them byte for byte.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical error.
 """
@@ -32,6 +35,7 @@ import argparse
 import math
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -214,24 +218,20 @@ def _angles(cfg: dict, mode: str) -> np.ndarray:
 # artifacts
 
 
-# wall seconds per evolution stage of the current run, summed over an l sweep
+# wall seconds per evolution stage of the current run, summed over an l sweep,
+# and numerical-health figures, maximized over it
 _stage_s: dict[str, float] = {}
+_health: dict[str, float] = {}
 
 
+@contextmanager
 def _timed(stage: str):
-    """Add the wall time of every call of the decorated function to ``stage``."""
-
-    def decorate(fn):
-        def timed(*args):
-            t0 = time.perf_counter()
-            try:
-                return fn(*args)
-            finally:
-                _stage_s[stage] = _stage_s.get(stage, 0.0) + time.perf_counter() - t0
-
-        return timed
-
-    return decorate
+    """Add the wall time of the ``with`` block to ``stage``."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        _stage_s[stage] = _stage_s.get(stage, 0.0) + time.perf_counter() - t0
 
 
 def _write_manifest(outdir: Path, mode: str, cfg: dict, derived: dict, run_s: float) -> None:
@@ -247,10 +247,14 @@ def _write_manifest(outdir: Path, mode: str, cfg: dict, derived: dict, run_s: fl
     if derived:
         lines += ["", "[derived]"]
         lines += [f"{key} = {value}" for key, value in derived.items()]
+    if _health:
+        lines += ["", "[health]"]
+        lines += [f"{key} = {value:.3e}" for key, value in _health.items()]
     if _stage_s:
         lines += [
             "",
             "[timings]",
+            f"quantum_build_s = {_stage_s.get('quantum_build_s', 0.0):.6f}",
             f"quantum_evolution_s = {_stage_s.get('quantum_evolution_s', 0.0):.6f}",
             f"ensemble_propagation_s = {_stage_s.get('ensemble_propagation_s', 0.0):.6f}",
             f"run_s = {run_s:.6f}",
@@ -277,23 +281,26 @@ def _moment_columns(series) -> dict:
     return cols
 
 
-@_timed("quantum_evolution_s")
 def _quantum_series(conv: dict, ang: np.ndarray, n_kicks: int):
     s, l = conv["s"], conv["l"]
-    flo = quantum.build_floquet(s, l, conv["a"], conv["c"])
-    state = quantum.product_state(
-        s, l, quantum.coherent_state(s, ang[0], ang[1]), quantum.coherent_state(l, ang[2], ang[3])
-    )
-    return quantum.evolve_series(state, flo, n_kicks)
+    with _timed("quantum_build_s"):
+        flo = quantum.build_floquet(s, l, conv["a"], conv["c"])
+        vec_s = quantum.coherent_state(s, ang[0], ang[1])
+        vec_l = quantum.coherent_state(l, ang[2], ang[3])
+        state = quantum.product_state(s, l, vec_s, vec_l)
+    with _timed("quantum_evolution_s"):
+        series = quantum.evolve_series(state, flo, n_kicks)
+    _health["quantum_norm_drift"] = max(_health.get("quantum_norm_drift", 0.0), series.norm_drift)
+    return series
 
 
-@_timed("ensemble_propagation_s")
 def _ensemble_series(conv: dict, ang: np.ndarray, cfg: dict):
-    ens = liouville.build_ensemble(
-        conv["s"], conv["l"], *ang, n_traj=cfg["n_traj"], seed=cfg["seed"]
-    )
-    p = classical.ClassicalParams(conv["a"], conv["gamma"], conv["r"])
-    return liouville.ensemble_evolve(ens, p, cfg["n_kicks"])
+    with _timed("ensemble_propagation_s"):
+        ens = liouville.build_ensemble(
+            conv["s"], conv["l"], *ang, n_traj=cfg["n_traj"], seed=cfg["seed"]
+        )
+        p = classical.ClassicalParams(conv["a"], conv["gamma"], conv["r"])
+        return liouville.ensemble_evolve(ens, p, cfg["n_kicks"])
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +610,7 @@ def run(mode: str, cfg: dict) -> int:
         outdir = Path(cfg["outdir"])
         outdir.mkdir(parents=True, exist_ok=True)
         _stage_s.clear()
+        _health.clear()
         t0 = time.perf_counter()
         derived = _RUNNERS[mode](cfg, outdir)
         _write_manifest(outdir, mode, cfg, derived, time.perf_counter() - t0)

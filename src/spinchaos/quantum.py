@@ -4,13 +4,18 @@ The system is a pair of spins S and L with one-kick unitary
 
     F = exp[-i a (S_z + L_z)] exp[-i c S_x L_x],
 
-acting on the product basis |s,m_s> (x) |l,m_l>.  The interaction factor is
-never built as a dense matrix; it is applied in the factored form
+acting on the product basis |s,m_s> (x) |l,m_l>.  Kicks are applied in the
+x-frame, where S_x and L_x are diagonal.  Per spin let U = R Phi, with
+R = d^(j)(pi/2) and Phi = diag(i^k) for k = j - m = 0..2j; the frame
+amplitudes of a state matrix psi are z = U_s^dagger psi U_l^*.  In the frame
+the interaction is the phase array D[i_s, i_l] = exp(-i c m_s m_l) and the free
+rotation exp(-i a J_z) is the real d^(j)(a), so one kick is
 
-    exp(-i c S_x L_x) = (R_s (x) R_l) exp(-i c S_z L_z) (R_s (x) R_l)^dagger,
+    z <- d_s(a) (D o z) d_l(a)^T,
 
-where R_j = exp(-i (pi/2) J_y), so one kick costs two subsystem matrix
-multiplies plus two elementwise phase multiplies.
+two real matrix products (Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987)).
+Mean spin components in the frame are the lab ones relabelled cyclically,
+(x, y, z)_lab = (z, x, y)_frame, the same for both spins.
 
 Conventions used throughout this package:
 
@@ -151,12 +156,15 @@ class QuantumState:
 
     ``amplitudes`` is a flat complex array of length (2s+1)(2l+1), C-ordered
     with m_s as the major index, both m's descending.  ``matrix`` exposes the
-    same data as a (2s+1, 2l+1) view for factored operator application.
+    same data as a (2s+1, 2l+1) view.  A state returned by ``evolve_series``
+    also keeps its x-frame amplitudes in ``_frame``, where the next call
+    resumes.
     """
 
     s: SpinQuantum
     l: SpinQuantum
     amplitudes: np.ndarray
+    _frame: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
@@ -179,46 +187,53 @@ def product_state(s, l, vec_s: np.ndarray, vec_l: np.ndarray) -> QuantumState:
 
 @dataclass(frozen=True)
 class FloquetOperator:
-    """One-kick unitary in factored form.
+    """One-kick unitary in the x-frame.
 
-    ``rot_s``/``rot_l`` are the real pi/2 y-rotations of each subsystem,
-    ``interaction_phases``[i_s, i_l] = exp(-i c m_s m_l) and
-    ``free_phases``[i_s, i_l] = exp(-i a (m_s + m_l)).
+    ``d_s``/``d_l`` are the real free rotations d^(j)(a) of each subsystem and
+    ``interaction_phases``[i_s, i_l] = exp(-i c m_s m_l).
     """
 
     s: SpinQuantum
     l: SpinQuantum
     a: float
     c: float
-    rot_s: np.ndarray = field(repr=False)
-    rot_l: np.ndarray = field(repr=False)
+    d_s: np.ndarray = field(repr=False)
+    d_l: np.ndarray = field(repr=False)
     interaction_phases: np.ndarray = field(repr=False)
-    free_phases: np.ndarray = field(repr=False)
+
+
+def _frame_basis(j: float) -> np.ndarray:
+    """U = d^(j)(pi/2) diag(i^k), k = 0..2j: its columns are the J_x eigenvectors."""
+    phases = np.array([1, 1j, -1, -1j])[np.arange(dim_of(j)) % 4]
+    return wigner_d(j, np.pi / 2.0) * phases
+
+
+def _free_rotation(j: float, a: float) -> np.ndarray:
+    """d^(j)(a) = Re[U^dagger exp(-i a J_z) U], built from the cached d^(j)(pi/2)."""
+    u = _frame_basis(j)
+    return np.ascontiguousarray(((u.conj().T * np.exp(-1j * a * m_values(j))) @ u).real)
 
 
 def build_floquet(s, l, a: float, c: float) -> FloquetOperator:
-    """Assemble the factored Floquet operator for parameters (a, c)."""
+    """Assemble the x-frame Floquet operator for parameters (a, c)."""
     ss, ll = SpinQuantum(_as_j(s)), SpinQuantum(_as_j(l))
-    ms = m_values(ss.j)
-    ml = m_values(ll.j)
     return FloquetOperator(
         s=ss,
         l=ll,
         a=float(a),
         c=float(c),
-        rot_s=wigner_d(ss.j, np.pi / 2.0),
-        rot_l=wigner_d(ll.j, np.pi / 2.0),
-        interaction_phases=np.exp(-1j * c * np.outer(ms, ml)),
-        free_phases=np.exp(-1j * a * (ms[:, None] + ml[None, :])),
+        d_s=_free_rotation(ss.j, a),
+        d_l=_free_rotation(ll.j, a),
+        interaction_phases=np.exp(-1j * c * np.outer(m_values(ss.j), m_values(ll.j))),
     )
 
 
-def _apply_floquet(psi: np.ndarray, f: FloquetOperator) -> np.ndarray:
-    # (R_s (x) R_l)^dagger: rotations are real orthogonal, so dagger = transpose
-    psi = f.rot_s.T @ psi @ f.rot_l
-    psi = f.interaction_phases * psi
-    psi = f.rot_s @ psi @ f.rot_l.T
-    return f.free_phases * psi
+def _frame_kick(z: np.ndarray, f: FloquetOperator) -> np.ndarray:
+    # d_s (D o z) d_l^T as two real products on the (re, im)-interleaved view;
+    # the right product runs as a left one on the transpose
+    w = (f.d_s @ (f.interaction_phases * z).view(float)).view(complex)
+    w = (f.d_l @ np.ascontiguousarray(w.T).view(float)).view(complex)
+    return np.ascontiguousarray(w.T)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +321,8 @@ def marginal_pz(state: QuantumState) -> np.ndarray:
 class QuantumMomentSeries:
     """Normalized quantum moments at kicks 0..n: <~S>, <~L>, and variances.
 
-    ``final`` is the state after the last kick.
+    ``norm_drift`` is the largest |norm - 1| of the state after a kick, before
+    it is renormalized; ``final`` is the state after the last kick.
     """
 
     s: float
@@ -316,6 +332,7 @@ class QuantumMomentSeries:
     l_tilde_mean: np.ndarray     # (K, 3)
     var_norm_s: np.ndarray       # (K,)
     var_norm_l: np.ndarray       # (K,)
+    norm_drift: float
     final: QuantumState = field(repr=False)
 
     @property
@@ -330,10 +347,13 @@ class QuantumMomentSeries:
 def evolve_series(state: QuantumState, f: FloquetOperator, n_kicks: int) -> QuantumMomentSeries:
     """Evolve kick by kick, recording observables at every stroboscopic time.
 
-    The Floquet operator is applied in factored form, never as a full matrix.
-    Rounding in the two matrix multiplies per kick drifts the norm by about
-    1e-14 per step; like the classical map, the state is renormalized after
-    every kick so that long runs stay on the unit sphere.
+    The state enters the x-frame once (or resumes from the frame amplitudes
+    that an earlier call left on it), every kick is two real matrix products,
+    and ``observables`` runs on the frame amplitudes with the axes relabelled
+    to the lab.  The state leaves the frame once, at the end, so ``final`` is
+    in the |m_s, m_l> basis; with no kick it is ``state`` itself.  Rounding
+    drifts the norm by about 1e-14 per kick; like the classical map, the state
+    is renormalized after every kick so that long runs stay on the unit sphere.
     """
     if state.s.dim != f.s.dim or state.l.dim != f.l.dim:
         raise ValueError(
@@ -349,16 +369,26 @@ def evolve_series(state: QuantumState, f: FloquetOperator, n_kicks: int) -> Quan
     vl = np.empty(K)
     mag_s = np.sqrt(state.s.j * (state.s.j + 1.0))
     mag_l = np.sqrt(state.l.j * (state.l.j + 1.0))
-    psi = state.matrix.copy()
+    u_s, u_l = _frame_basis(state.s.j), _frame_basis(state.l.j)
+    z = state._frame
+    if z is None:
+        z = u_s.conj().T @ state.matrix @ u_l.conj()
+    drift = 0.0
     for n in range(K):
-        obs = observables(QuantumState(state.s, state.l, psi.reshape(-1)))
-        s_mean[n] = (obs.sx / mag_s, obs.sy / mag_s, obs.sz / mag_s)
-        l_mean[n] = (obs.lx / mag_l, obs.ly / mag_l, obs.lz / mag_l)
+        obs = observables(QuantumState(state.s, state.l, z.reshape(-1)))
+        # (x, y, z)_lab = (z, x, y)_frame
+        s_mean[n] = (obs.sz / mag_s, obs.sx / mag_s, obs.sy / mag_s)
+        l_mean[n] = (obs.lz / mag_l, obs.lx / mag_l, obs.ly / mag_l)
         vs[n] = obs.var_norm_s
         vl[n] = obs.var_norm_l
         if n < n_kicks:
-            psi = _apply_floquet(psi, f)
-            psi /= np.linalg.norm(psi)
+            z = _frame_kick(z, f)
+            norm = np.linalg.norm(z)
+            drift = max(drift, abs(norm - 1.0))
+            z *= 1.0 / norm
+    final = state
+    if n_kicks:
+        final = QuantumState(state.s, state.l, (u_s @ z @ u_l.T).reshape(-1), _frame=z)
     return QuantumMomentSeries(
         s=state.s.j,
         l=state.l.j,
@@ -367,5 +397,6 @@ def evolve_series(state: QuantumState, f: FloquetOperator, n_kicks: int) -> Quan
         l_tilde_mean=l_mean,
         var_norm_s=vs,
         var_norm_l=vl,
-        final=QuantumState(state.s, state.l, psi.reshape(-1)),
+        norm_drift=float(drift),
+        final=final,
     )

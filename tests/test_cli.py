@@ -276,14 +276,28 @@ def test_compare_manifest_records_timings(tmp_path):
         line.split(" = ") for line in manifest.split("[timings]\n", 1)[1].splitlines()
     )
     assert list(timings) == [
-        "quantum_evolution_s", "ensemble_propagation_s", "run_s", "ensemble_workers"
+        "quantum_build_s", "quantum_evolution_s", "ensemble_propagation_s", "run_s",
+        "ensemble_workers",
     ]
-    quantum_s, ensemble_s, run_s = (float(timings[key]) for key in list(timings)[:3])
-    assert quantum_s > 0.0 and ensemble_s > 0.0
-    assert quantum_s + ensemble_s <= run_s + 1e-5  # each rounded to 1e-6
+    build_s, quantum_s, ensemble_s, run_s = (float(timings[key]) for key in list(timings)[:4])
+    assert build_s > 0.0 and quantum_s > 0.0 and ensemble_s > 0.0
+    assert build_s + quantum_s + ensemble_s <= run_s + 1e-5  # each rounded to 1e-6
     assert int(timings["ensemble_workers"]) == liouville._WORKERS
     for name in ("qmoments.csv", "cmoments.csv", "delta.csv", "summary.txt"):
         assert "timings" not in (tmp_path / name).read_text()
+
+
+def test_compare_manifest_records_quantum_norm_drift(tmp_path):
+    cfg = cli.parse_config(
+        None, [f"outdir={tmp_path}", *COMPARE_ARGS, "n_kicks=5", "n_traj=2000", "lyap_steps=100"]
+    )
+    assert cli.run("compare", cfg) == 0
+    manifest = (tmp_path / "manifest.txt").read_text()
+    health = manifest.split("\n[health]\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    assert len(health) == 1 and health[0].startswith("quantum_norm_drift = ")
+    assert 0.0 <= float(health[0].split(" = ")[1]) < 1e-12
+    for name in ("qmoments.csv", "cmoments.csv", "delta.csv", "summary.txt"):
+        assert "norm_drift" not in (tmp_path / name).read_text()
 
 
 def test_ensemble_mode_seed_changes_output(tmp_path):

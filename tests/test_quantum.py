@@ -23,6 +23,11 @@ def random_state(s, l, rng=RNG):
     return q.QuantumState(q.SpinQuantum(s), q.SpinQuantum(l), amps)
 
 
+def random_frame_state(s, l, rng):
+    """Normalized random x-frame amplitudes, the input of ``q._frame_kick``."""
+    return random_state(s, l, rng).matrix.copy()
+
+
 # ---------------------------------------------------------------------------
 # Wigner d-matrices
 
@@ -141,9 +146,46 @@ def test_coherent_state_variance_identities():
 def test_floquet_phase_arrays_unimodular():
     f = q.build_floquet(5, 6, 1.7, 0.3)
     assert np.max(np.abs(np.abs(f.interaction_phases) - 1.0)) < 1e-14
-    assert np.max(np.abs(np.abs(f.free_phases) - 1.0)) < 1e-14
-    for rot, dim in ((f.rot_s, 11), (f.rot_l, 13)):
+    for rot, dim in ((f.d_s, 11), (f.d_l, 13)):
         assert np.max(np.abs(rot @ rot.T - np.eye(dim))) < 1e-10
+
+
+@pytest.mark.parametrize("j", [0.5, 3, 37.5, 154, 220])
+def test_floquet_free_rotations_match_wigner_d(j):
+    # d(a) is built from the cached d(pi/2); the recursion at angle a is the reference
+    for a in (0.9, 2.4, 5.0):
+        f = q.build_floquet(j, 0.5, a, 0.3)
+        assert np.max(np.abs(f.d_s - q.wigner_d(j, a))) < 1e-12
+        assert np.max(np.abs(f.d_l - q.wigner_d(0.5, a))) < 1e-12
+
+
+def test_evolve_series_matches_dense_floquet_power():
+    rng = np.random.default_rng(17)
+    for s, l in [(1, 2), (1.5, 2.5), (2, 1.5), (0.5, 3)]:
+        a, c = rng.uniform(0, 2 * np.pi), rng.uniform(-3, 3)
+        state = random_state(s, l, rng)
+        series = q.evolve_series(state, q.build_floquet(s, l, a, c), 5)
+        expected = np.linalg.matrix_power(dense_floquet(s, l, a, c), 5) @ state.amplitudes
+        assert np.max(np.abs(series.final.amplitudes - expected)) < 1e-12
+        assert series.norm_drift < 1e-12
+
+
+def test_evolve_series_moments_match_lab_observables_per_kick():
+    # the frame's mean components are relabelled to the lab axes; a chain of
+    # one-kick legs gives lab-basis states to check them against
+    s, l = 3.5, 5
+    f = q.build_floquet(s, l, 5.0, 1.1)
+    state = q.product_state(s, l, q.coherent_state(s, 0.8, 0.3), q.coherent_state(l, 2.1, 4.0))
+    series = q.evolve_series(state, f, 6)
+    for k in range(7):
+        obs = q.observables(state)
+        lab_s = np.array([obs.sx, obs.sy, obs.sz])
+        lab_l = np.array([obs.lx, obs.ly, obs.lz])
+        assert np.max(np.abs(series.s_tilde_mean[k] * series.mag_s - lab_s)) < 1e-10
+        assert np.max(np.abs(series.l_tilde_mean[k] * series.mag_l - lab_l)) < 1e-10
+        assert abs(series.var_norm_s[k] - obs.var_norm_s) < 1e-10
+        assert abs(series.var_norm_l[k] - obs.var_norm_l) < 1e-10
+        state = q.evolve_series(state, f, 1).final
 
 
 def test_floquet_no_interaction_is_pure_z_rotation():
@@ -214,9 +256,9 @@ def test_unitarity_random_parameters():
         s = rng.choice([0.5, 1.5, 4.0, 9.0])
         l = rng.choice([1.0, 2.5, 6.0])
         f = q.build_floquet(s, l, rng.uniform(0, 2 * np.pi), rng.uniform(-4, 4))
-        state = random_state(s, l, rng)
+        z = random_frame_state(s, l, rng)
         # raw single kick, no renormalization
-        assert abs(np.linalg.norm(q._apply_floquet(state.matrix, f)) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(q._frame_kick(z, f)) - 1.0) < 1e-12
 
 
 def test_norm_preserved_200_kicks_production_scale():
@@ -230,7 +272,7 @@ def test_norm_preserved_200_kicks_production_scale():
     out = q.evolve_series(state, f, 200).final
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
     # raw single-kick application (no renormalization) is unitary to 1e-12
-    raw = q._apply_floquet(state.matrix, f)
+    raw = q._frame_kick(random_frame_state(s, l, np.random.default_rng(5)), f)
     assert abs(np.linalg.norm(raw) - 1.0) < 1e-12
 
 

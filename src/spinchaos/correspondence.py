@@ -54,9 +54,6 @@ class DifferenceSeries:
     c_lz: np.ndarray       # classical <L_z>_c
     c_se: np.ndarray       # Monte Carlo SE of c_lz, same units
 
-    def __len__(self):
-        return self.delta.size
-
 
 def difference_series(q_series, c_series) -> DifferenceSeries:
     """Unnormalized z-axis difference between matched quantum/classical runs.

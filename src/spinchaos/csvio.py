@@ -8,24 +8,23 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def _format(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+_BLOCK = 1024  # rows formatted together; bounds the text held in memory
 
 
 def write_csv(path, columns: dict) -> None:
-    """Write named columns (equal-length sequences) as a CSV file."""
+    """Write named columns (equal-length sequences) as a CSV file.
+
+    Booleans are written as 0/1, integers exactly, and floats to 17 significant digits.
+    """
     names = list(columns)
     arrays = [np.asarray(columns[n]) for n in names]
     length = arrays[0].shape[0]
     for n, arr in zip(names, arrays):
         if arr.shape[0] != length:
             raise ValueError(f"column {n!r} has length {arr.shape[0]}, expected {length}")
+    formats = ["{:d}" if arr.dtype.kind in "biu" else "{:.17g}" for arr in arrays]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        for i in range(length):
-            fh.write(",".join(_format(arr[i]) for arr in arrays) + "\n")
+        for i in range(0, length, _BLOCK):
+            cells = zip(*(map(f.format, a[i:i + _BLOCK].tolist()) for f, a in zip(formats, arrays)))
+            fh.write("".join(",".join(row) + "\n" for row in cells))

@@ -75,18 +75,15 @@ def big_g(sigma2: float) -> float:
 
 @dataclass(frozen=True)
 class MatchedDensityParams:
-    """Initial single-spin density: quantum number, width, polarization axis."""
+    """Initial single-spin density: quantum number, polarization axis, matched width."""
 
     j: float
     theta0: float = 0.0
     phi0: float = 0.0
-    sigma2: float = 0.0  # 0 means "use sigma2_for(j)"
+    sigma2: float = field(init=False)  # sigma2_for(j)
 
     def __post_init__(self):
-        if self.sigma2 == 0.0:
-            object.__setattr__(self, "sigma2", sigma2_for(self.j))
-        if self.sigma2 <= 0.0:
-            raise ValueError("sigma2 must be positive")
+        object.__setattr__(self, "sigma2", sigma2_for(self.j))
 
     @property
     def j_mag(self) -> float:
@@ -103,8 +100,12 @@ def sample_polarized(params: MatchedDensityParams, rng: np.random.Generator, n: 
     """
     s2 = params.sigma2
     trunc = -math.expm1(-2.0 / s2)  # 1 - e^{-2/sigma^2}
-    u = rng.random(n)
-    z = 1.0 + s2 * np.log1p(-u * trunc)
+    # z = 1 - t, in place: a draw holds few n-float temporaries at once
+    z = rng.random(n)
+    z *= -trunc
+    np.log1p(z, out=z)
+    z *= s2
+    z += 1.0
     np.clip(z, -1.0, 1.0, out=z)
     phi = rng.uniform(0.0, 2.0 * np.pi, n)
     rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
@@ -112,6 +113,7 @@ def sample_polarized(params: MatchedDensityParams, rng: np.random.Generator, n: 
     vec[:, 0] = rho * np.cos(phi)
     vec[:, 1] = rho * np.sin(phi)
     vec[:, 2] = z
+    del z, phi, rho  # before the rotation allocates its (n, 3) result
     ct, st = math.cos(params.theta0), math.sin(params.theta0)
     cp, sp = math.cos(params.phi0), math.sin(params.phi0)
     ry = np.array([[ct, 0.0, st], [0.0, 1.0, 0.0], [-st, 0.0, ct]])
@@ -147,38 +149,26 @@ class Ensemble:
         if self.n_traj < 1:
             raise ValueError("n_traj must be >= 1")
 
-    @property
-    def mag_s(self) -> float:
-        return self.s_density.j_mag
-
-    @property
-    def mag_l(self) -> float:
-        return self.l_density.j_mag
-
     def iter_chunks(self):
-        """Yield 6-tuples of component arrays, one per chunk, deterministically."""
+        """Yield one (6, m) array per chunk (rows Sx, Sy, Sz, Lx, Ly, Lz), deterministically.
+
+        S is drawn before L. The chunk is allocated before the draws; allocated
+        after them, it comes on top of their temporaries and raises peak memory.
+        """
         rng = np.random.default_rng(self.seed)
         remaining = self.n_traj
         while remaining > 0:
             m = min(_CHUNK, remaining)
-            s_vec = sample_polarized(self.s_density, rng, m)
-            l_vec = sample_polarized(self.l_density, rng, m)
-            yield (
-                np.ascontiguousarray(s_vec[:, 0]),
-                np.ascontiguousarray(s_vec[:, 1]),
-                np.ascontiguousarray(s_vec[:, 2]),
-                np.ascontiguousarray(l_vec[:, 0]),
-                np.ascontiguousarray(l_vec[:, 1]),
-                np.ascontiguousarray(l_vec[:, 2]),
-            )
+            chunk = np.empty((6, m))
+            chunk[:3] = sample_polarized(self.s_density, rng, m).T
+            chunk[3:] = sample_polarized(self.l_density, rng, m).T
+            yield chunk
             remaining -= m
 
     @property
     def states(self) -> np.ndarray:
         """All initial conditions as an (n_traj, 6) array."""
-        return np.concatenate(
-            [np.stack(cols, axis=1) for cols in self.iter_chunks()], axis=0
-        )
+        return np.concatenate([chunk.T for chunk in self.iter_chunks()], axis=0)
 
 
 def build_ensemble(
@@ -270,10 +260,8 @@ def ensemble_evolve(ens: Ensemble, p: ClassicalParams, n_kicks: int) -> MomentSe
     sums = np.zeros((K, 2, 9))
     pz_counts = 0
     with ThreadPoolExecutor(_WORKERS) as pool:
-        for cols in ens.iter_chunks():
-            tiles = [
-                tuple(c[i:i + _TILE] for c in cols) for i in range(0, cols[0].size, _TILE)
-            ]
+        for chunk in ens.iter_chunks():
+            tiles = [chunk[:, i:i + _TILE] for i in range(0, chunk.shape[1], _TILE)]
             for tile_sums, counts in pool.map(lambda t: _tile_sums(t, p, n_kicks, l), tiles):
                 sums += tile_sums
                 pz_counts += counts
@@ -281,8 +269,8 @@ def ensemble_evolve(ens: Ensemble, p: ClassicalParams, n_kicks: int) -> MomentSe
     s_mu, s_se, s_var, s_var_se = _moments_from_sums(sums[:, 0], n_traj)
     l_mu, l_se, l_var, l_var_se = _moments_from_sums(sums[:, 1], n_traj)
     return MomentSeries(
-        mag_s=ens.mag_s,
-        mag_l=ens.mag_l,
+        mag_s=ens.s_density.j_mag,
+        mag_l=ens.l_density.j_mag,
         n_traj=n_traj,
         kicks=np.arange(K),
         s_tilde_mean=s_mu,

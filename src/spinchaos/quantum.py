@@ -35,7 +35,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "SpinQuantum",
     "QuantumState",
     "FloquetOperator",
     "Observables",
@@ -51,9 +50,7 @@ __all__ = [
 
 
 def _as_j(j) -> float:
-    """Coerce a quantum number (or SpinQuantum) to a validated float j."""
-    if isinstance(j, SpinQuantum):
-        return j.j
+    """Coerce a quantum number to a validated float j."""
     jf = float(j)
     twoj = 2.0 * jf
     if jf < 0 or abs(twoj - round(twoj)) > 1e-9:
@@ -70,20 +67,6 @@ def m_values(j) -> np.ndarray:
     """Magnetic numbers in descending order, m = j, j-1, ..., -j."""
     jf = _as_j(j)
     return jf - np.arange(dim_of(jf), dtype=float)
-
-
-@dataclass(frozen=True)
-class SpinQuantum:
-    """A single spin: non-negative half-integer quantum number j."""
-
-    j: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "j", _as_j(self.j))
-
-    @property
-    def dim(self) -> int:
-        return dim_of(self.j)
 
 
 def _wigner_d_impl(twoj: int, theta: float) -> np.ndarray:
@@ -140,10 +123,7 @@ def coherent_state(j, theta: float, phi: float) -> np.ndarray:
     <J_z> = j cos(theta) and <J_x + i J_y> = j e^{i phi} sin(theta).
     """
     jf = _as_j(j)
-    d_col = wigner_d(jf, theta)[:, 0]
-    if phi == 0.0:
-        return d_col.astype(complex)
-    return np.exp(-1j * phi * m_values(jf)) * d_col
+    return np.exp(-1j * phi * m_values(jf)) * wigner_d(jf, theta)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -161,28 +141,28 @@ class QuantumState:
     resumes.
     """
 
-    s: SpinQuantum
-    l: SpinQuantum
+    s: float
+    l: float
     amplitudes: np.ndarray
     _frame: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "s", _as_j(self.s))
+        object.__setattr__(self, "l", _as_j(self.l))
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.size != self.s.dim * self.l.dim:
-            raise ValueError(
-                f"amplitude length {amps.size} does not match dims ({self.s.dim} x {self.l.dim})"
-            )
+        dims = (dim_of(self.s), dim_of(self.l))
+        if amps.size != dims[0] * dims[1]:
+            raise ValueError(f"amplitude length {amps.size} does not match dims {dims}")
         object.__setattr__(self, "amplitudes", amps)
 
     @property
     def matrix(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.s.dim, self.l.dim)
+        return self.amplitudes.reshape(dim_of(self.s), dim_of(self.l))
 
 
 def product_state(s, l, vec_s: np.ndarray, vec_l: np.ndarray) -> QuantumState:
     """Separable state from subsystem amplitude vectors."""
-    ss, ll = SpinQuantum(_as_j(s)), SpinQuantum(_as_j(l))
-    return QuantumState(ss, ll, np.outer(vec_s, vec_l).reshape(-1))
+    return QuantumState(s, l, np.outer(vec_s, vec_l).reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -193,8 +173,8 @@ class FloquetOperator:
     ``interaction_phases``[i_s, i_l] = exp(-i c m_s m_l).
     """
 
-    s: SpinQuantum
-    l: SpinQuantum
+    s: float
+    l: float
     a: float
     c: float
     d_s: np.ndarray = field(repr=False)
@@ -216,15 +196,15 @@ def _free_rotation(j: float, a: float) -> np.ndarray:
 
 def build_floquet(s, l, a: float, c: float) -> FloquetOperator:
     """Assemble the x-frame Floquet operator for parameters (a, c)."""
-    ss, ll = SpinQuantum(_as_j(s)), SpinQuantum(_as_j(l))
+    s, l = _as_j(s), _as_j(l)
     return FloquetOperator(
-        s=ss,
-        l=ll,
+        s=s,
+        l=l,
         a=float(a),
         c=float(c),
-        d_s=_free_rotation(ss.j, a),
-        d_l=_free_rotation(ll.j, a),
-        interaction_phases=np.exp(-1j * c * np.outer(m_values(ss.j), m_values(ll.j))),
+        d_s=_free_rotation(s, a),
+        d_l=_free_rotation(l, a),
+        interaction_phases=np.exp(-1j * c * np.outer(m_values(s), m_values(l))),
     )
 
 
@@ -277,17 +257,17 @@ def observables(state: QuantumState) -> Observables:
     p_ms = prob.sum(axis=1)
     p_ml = prob.sum(axis=0)
 
-    sz = float(np.sum(m_values(s.j) * p_ms))
-    lz = float(np.sum(m_values(l.j) * p_ml))
+    sz = float(np.sum(m_values(s) * p_ms))
+    lz = float(np.sum(m_values(l) * p_ml))
 
     # <S_+>: contract over m_s (rows); <L_+>: contract over m_l (columns)
-    cp_s = _ladder_coeffs(s.j)
-    cp_l = _ladder_coeffs(l.j)
+    cp_s = _ladder_coeffs(s)
+    cp_l = _ladder_coeffs(l)
     splus = complex(np.sum(np.conj(psi[:-1, :]) * (cp_s[1:, None] * psi[1:, :])))
     lplus = complex(np.sum(np.conj(psi[:, :-1]) * (cp_l[None, 1:] * psi[:, 1:])))
 
-    s2 = s.j * (s.j + 1.0) * norm2
-    l2 = l.j * (l.j + 1.0) * norm2
+    s2 = s * (s + 1.0) * norm2
+    l2 = l * (l + 1.0) * norm2
     sx, sy = splus.real, splus.imag
     lx, ly = lplus.real, lplus.imag
     return Observables(
@@ -299,8 +279,8 @@ def observables(state: QuantumState) -> Observables:
         ly=ly,
         lz=lz,
         l2=l2,
-        var_norm_s=(s2 - (sx**2 + sy**2 + sz**2)) / (s.j * (s.j + 1.0)),
-        var_norm_l=(l2 - (lx**2 + ly**2 + lz**2)) / (l.j * (l.j + 1.0)),
+        var_norm_s=(s2 - (sx**2 + sy**2 + sz**2)) / (s * (s + 1.0)),
+        var_norm_l=(l2 - (lx**2 + ly**2 + lz**2)) / (l * (l + 1.0)),
     )
 
 
@@ -355,10 +335,9 @@ def evolve_series(state: QuantumState, f: FloquetOperator, n_kicks: int) -> Quan
     drifts the norm by about 1e-14 per kick; like the classical map, the state
     is renormalized after every kick so that long runs stay on the unit sphere.
     """
-    if state.s.dim != f.s.dim or state.l.dim != f.l.dim:
+    if (state.s, state.l) != (f.s, f.l):
         raise ValueError(
-            f"state dims ({state.s.dim} x {state.l.dim}) do not match operator "
-            f"({f.s.dim} x {f.l.dim})"
+            f"state spins (s, l) = {(state.s, state.l)} do not match operator {(f.s, f.l)}"
         )
     if n_kicks < 0:
         raise ValueError("kick count must be non-negative")
@@ -367,9 +346,9 @@ def evolve_series(state: QuantumState, f: FloquetOperator, n_kicks: int) -> Quan
     l_mean = np.empty((K, 3))
     vs = np.empty(K)
     vl = np.empty(K)
-    mag_s = np.sqrt(state.s.j * (state.s.j + 1.0))
-    mag_l = np.sqrt(state.l.j * (state.l.j + 1.0))
-    u_s, u_l = _frame_basis(state.s.j), _frame_basis(state.l.j)
+    mag_s = np.sqrt(state.s * (state.s + 1.0))
+    mag_l = np.sqrt(state.l * (state.l + 1.0))
+    u_s, u_l = _frame_basis(state.s), _frame_basis(state.l)
     z = state._frame
     if z is None:
         z = u_s.conj().T @ state.matrix @ u_l.conj()
@@ -390,8 +369,8 @@ def evolve_series(state: QuantumState, f: FloquetOperator, n_kicks: int) -> Quan
     if n_kicks:
         final = QuantumState(state.s, state.l, (u_s @ z @ u_l.T).reshape(-1), _frame=z)
     return QuantumMomentSeries(
-        s=state.s.j,
-        l=state.l.j,
+        s=state.s,
+        l=state.l,
         kicks=np.arange(K),
         s_tilde_mean=s_mean,
         l_tilde_mean=l_mean,

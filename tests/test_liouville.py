@@ -87,7 +87,8 @@ def test_sample_polarized_is_on_sphere():
 
 def test_sample_polarized_delta_limit():
     rng = np.random.default_rng(2)
-    params = lv.MatchedDensityParams(j=10, theta0=np.deg2rad(45), phi0=np.deg2rad(70), sigma2=1e-12)
+    # sigma^2 = sigma2_for(1e12) = 5e-13
+    params = lv.MatchedDensityParams(j=1e12, theta0=np.deg2rad(45), phi0=np.deg2rad(70))
     vec = lv.sample_polarized(params, rng, 1000)
     target = np.array(
         [np.sin(params.theta0) * np.cos(params.phi0),

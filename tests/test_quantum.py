@@ -20,7 +20,7 @@ def random_state(s, l, rng=RNG):
     n = q.dim_of(s) * q.dim_of(l)
     amps = rng.normal(size=n) + 1j * rng.normal(size=n)
     amps /= np.linalg.norm(amps)
-    return q.QuantumState(q.SpinQuantum(s), q.SpinQuantum(l), amps)
+    return q.QuantumState(s, l, amps)
 
 
 def random_frame_state(s, l, rng):
@@ -71,6 +71,13 @@ def test_wigner_d_rejects_invalid_j():
         q.wigner_d(1.3, 0.5)
     with pytest.raises(ValueError):
         q.wigner_d(-1, 0.5)
+
+
+def test_states_reject_invalid_j():
+    with pytest.raises(ValueError):
+        q.QuantumState(1.3, 2, np.zeros(3 * 5, dtype=complex))
+    with pytest.raises(ValueError):
+        q.product_state(-1, 2, np.ones(1), np.ones(5))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +203,7 @@ def test_floquet_no_interaction_is_pure_z_rotation():
         for i_l in range(q.dim_of(l)):
             amps = np.zeros(q.dim_of(s) * q.dim_of(l), dtype=complex)
             amps[i_s * q.dim_of(l) + i_l] = 1.0
-            state = q.QuantumState(q.SpinQuantum(s), q.SpinQuantum(l), amps)
+            state = q.QuantumState(s, l, amps)
             out = q.evolve_series(state, f, 1).final.amplitudes
             expected = amps * np.exp(-1j * a * (ms[i_s] + ml[i_l]))
             assert np.max(np.abs(out - expected)) < 1e-12
@@ -211,7 +218,7 @@ def test_interaction_factorization_matches_expm():
     for k in range(4):
         amps = np.zeros(4, dtype=complex)
         amps[k] = 1.0
-        state = q.QuantumState(q.SpinQuantum(0.5), q.SpinQuantum(0.5), amps)
+        state = q.QuantumState(0.5, 0.5, amps)
         out = q.evolve_series(state, f, 1).final.amplitudes
         assert np.max(np.abs(out - dense @ amps)) < 1e-12
 

@@ -127,6 +127,8 @@ def parse_config(path: str | None, overrides: list[str]) -> dict:
             cfg[key] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: cannot parse {value!r} as {parser.__name__}") from exc
+        if parser is float and not math.isfinite(cfg[key]):
+            raise ConfigError(f"key {key!r} must be finite, got {value!r}")
     for key, lowest in _MINIMUMS.items():
         if cfg[key] < lowest:
             raise ConfigError(f"key {key!r} must be >= {lowest}, got {cfg[key]}")

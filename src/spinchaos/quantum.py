@@ -14,8 +14,11 @@ rotation exp(-i a J_z) is the real d^(j)(a), so one kick is
     z <- d_s(a) (D o z) d_l(a)^T,
 
 two real matrix products (Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987)).
-Mean spin components in the frame are the lab ones relabelled cyclically,
-(x, y, z)_lab = (z, x, y)_frame, the same for both spins.
+The spin-1/2 coupling recursion builds only d^(j)(pi/2), cached per j; every
+other d^(j)(theta), coherent states included, is the one product
+Re[U^dagger exp(-i theta J_z) U].  Mean spin components in the frame are the
+lab ones relabelled cyclically, (x, y, z)_lab = (z, x, y)_frame, the same for
+both spins.
 
 Conventions used throughout this package:
 
@@ -69,8 +72,9 @@ def m_values(j) -> np.ndarray:
     return jf - np.arange(dim_of(jf), dtype=float)
 
 
-def _wigner_d_impl(twoj: int, theta: float) -> np.ndarray:
-    """Build d^(j)(theta) by coupling a spin-1/2 per half step.
+@lru_cache(maxsize=64)
+def _wigner_d_half_pi(twoj: int) -> np.ndarray:
+    """Build d^(j)(pi/2) by coupling a spin-1/2 per half step (read-only, cached per j).
 
     Starting from the trivial d^(0) = [[1]], each half step composes the
     current matrix with the spin-1/2 rotation through the stretched
@@ -81,8 +85,8 @@ def _wigner_d_impl(twoj: int, theta: float) -> np.ndarray:
     Every coefficient has magnitude <= 1, which keeps the recursion stable up
     to the largest quantum numbers used here (j ~ 220 and beyond).
     """
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
+    c = np.cos(np.pi / 4)
+    s = np.sin(np.pi / 4)
     d = np.ones((1, 1))
     for k in range(1, twoj + 1):
         # current target 2j = k, previous matrix has shape (k, k)
@@ -96,24 +100,27 @@ def _wigner_d_impl(twoj: int, theta: float) -> np.ndarray:
         out[1:, :-1] += s * np.outer(dn[1:], up[:-1]) * d
         out[1:, 1:] += c * np.outer(dn[1:], dn[1:]) * d
         d = out
-    return d
-
-
-@lru_cache(maxsize=64)
-def _wigner_d_cached(twoj: int, theta: float) -> np.ndarray:
-    d = _wigner_d_impl(twoj, theta)
     d.setflags(write=False)
     return d
+
+
+def _frame_basis(j: float) -> np.ndarray:
+    """U = d^(j)(pi/2) diag(i^k), k = 0..2j: its columns are the J_x eigenvectors."""
+    phases = np.array([1, 1j, -1, -1j])[np.arange(dim_of(j)) % 4]
+    return _wigner_d_half_pi(dim_of(j) - 1) * phases
 
 
 def wigner_d(j, theta: float) -> np.ndarray:
     """Wigner d-matrix d^(j)_{m',m}(theta) = <j,m'|exp(-i theta J_y)|j,m>.
 
     Rows and columns are indexed by descending m', m.  The matrix is real
-    orthogonal.  Results are cached per (j, theta).
+    orthogonal.  It is the one product d^(j)(theta) = Re[U^dagger
+    exp(-i theta J_z) U] with the frame basis U of ``_frame_basis``: the
+    recursion builds only d^(j)(pi/2), cached per j.
     """
     jf = _as_j(j)
-    return _wigner_d_cached(int(round(2 * jf)), float(theta))
+    u = _frame_basis(jf)
+    return np.ascontiguousarray(((u.conj().T * np.exp(-1j * theta * m_values(jf))) @ u).real)
 
 
 def coherent_state(j, theta: float, phi: float) -> np.ndarray:
@@ -182,18 +189,6 @@ class FloquetOperator:
     interaction_phases: np.ndarray = field(repr=False)
 
 
-def _frame_basis(j: float) -> np.ndarray:
-    """U = d^(j)(pi/2) diag(i^k), k = 0..2j: its columns are the J_x eigenvectors."""
-    phases = np.array([1, 1j, -1, -1j])[np.arange(dim_of(j)) % 4]
-    return wigner_d(j, np.pi / 2.0) * phases
-
-
-def _free_rotation(j: float, a: float) -> np.ndarray:
-    """d^(j)(a) = Re[U^dagger exp(-i a J_z) U], built from the cached d^(j)(pi/2)."""
-    u = _frame_basis(j)
-    return np.ascontiguousarray(((u.conj().T * np.exp(-1j * a * m_values(j))) @ u).real)
-
-
 def build_floquet(s, l, a: float, c: float) -> FloquetOperator:
     """Assemble the x-frame Floquet operator for parameters (a, c)."""
     s, l = _as_j(s), _as_j(l)
@@ -202,8 +197,8 @@ def build_floquet(s, l, a: float, c: float) -> FloquetOperator:
         l=l,
         a=float(a),
         c=float(c),
-        d_s=_free_rotation(s, a),
-        d_l=_free_rotation(l, a),
+        d_s=wigner_d(s, a),
+        d_l=wigner_d(l, a),
         interaction_phases=np.exp(-1j * c * np.outer(m_values(s), m_values(l))),
     )
 

@@ -70,7 +70,7 @@ def test_criterion_1_kinematics():
         for j in (2.5, 10, 17.5, 25)
         for th in (0.1, np.pi / 2, 2.9)
     )
-    checks["recursion vs formula 1e-10 (j<=25)"] = worst_formula < 1e-10
+    checks["d-matrix vs formula 1e-10 (j<=25)"] = worst_formula < 1e-10
 
     coh_ok = True
     for j in (10, 55.5, 154):

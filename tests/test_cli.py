@@ -223,6 +223,10 @@ def test_lyapunov_mode_takes_each_step_once(monkeypatch, tmp_path):
         ("quantum", [*COMPARE_ARGS, "n_kicks=-2"]),
         ("appendix-check", ["j=3", "n_samples=0"]),
         ("compare", [*COMPARE_ARGS, "n_kicks=2", "n_traj=1000", "lyap_steps=10", "ma_window=0"]),
+        # non-finite floats, which used to run and write NaN rows to qmoments.csv
+        ("quantum", [*COMPARE_ARGS, "n_kicks=3", "theta_s=nan"]),
+        ("quantum", [*COMPARE_ARGS, "n_kicks=3", "a=nan"]),
+        ("quantum", [*COMPARE_ARGS, "n_kicks=3", "gamma=inf"]),
     ],
 )
 def test_non_positive_step_counts_are_config_errors(mode, overrides, tmp_path, capsys):

@@ -98,7 +98,16 @@ def test_coherent_state_spin_half_example():
 
 
 def test_coherent_state_matches_dense_rotation():
-    for j, theta, phi in [(1, 0.7, 1.9), (4.5, 2.2, 0.4), (12, 1.0, 5.0)]:
+    cases = [
+        (1, 0.7, 1.9),
+        (4.5, 2.2, 0.4),
+        (12, 1.0, 5.0),
+        # the CLI's sizes and angles
+        (140, np.deg2rad(45), np.deg2rad(70)),
+        (154, np.deg2rad(135), np.deg2rad(70)),
+        (220, 2.0, 1.2),
+    ]
+    for j, theta, phi in cases:
         vec = q.coherent_state(j, theta, phi)
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-10
         assert np.max(np.abs(vec - dense_rotation(j, theta, phi)[:, 0])) < 1e-10
@@ -159,11 +168,18 @@ def test_floquet_phase_arrays_unimodular():
 
 @pytest.mark.parametrize("j", [0.5, 3, 37.5, 154, 220])
 def test_floquet_free_rotations_match_wigner_d(j):
-    # d(a) is built from the cached d(pi/2); the recursion at angle a is the reference
+    # the Floquet operator carries exactly the d(a) that wigner_d builds
     for a in (0.9, 2.4, 5.0):
         f = q.build_floquet(j, 0.5, a, 0.3)
-        assert np.max(np.abs(f.d_s - q.wigner_d(j, a))) < 1e-12
-        assert np.max(np.abs(f.d_l - q.wigner_d(0.5, a))) < 1e-12
+        assert np.array_equal(f.d_s, q.wigner_d(j, a))
+        assert np.array_equal(f.d_l, q.wigner_d(0.5, a))
+
+
+@pytest.mark.parametrize("j", [0.5, 3, 37.5, 154, 220])
+def test_wigner_d_matches_dense_rotation(j):
+    # d(a) from the cached d(pi/2) against a dense eigh-based exp(-i a J_y)
+    for a in (0.9, 2.4, 5.0):
+        assert np.max(np.abs(q.wigner_d(j, a) - dense_rotation(j, a, 0.0).real)) < 1e-12
 
 
 def test_evolve_series_matches_dense_floquet_power():

@@ -112,12 +112,7 @@ def map_step(x, p: ClassicalParams, renormalize: bool = True):
     The update itself is an exact pair of rotations, so the rescaling only
     removes float noise.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    cols = _map_cols(*_split(x), p, renormalize=renormalize)
-    for i in range(6):
-        out[..., i] = cols[i]
-    return out
+    return np.stack(_map_cols(*_split(x), p, renormalize=renormalize), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +156,11 @@ def canonical_to_state(c):
     sz, phi_s, lz, phi_l = c[..., 0], c[..., 1], c[..., 2], c[..., 3]
     rho_s = np.sqrt(np.maximum(1.0 - sz * sz, 0.0))
     rho_l = np.sqrt(np.maximum(1.0 - lz * lz, 0.0))
-    out = np.empty(c.shape[:-1] + (6,))
-    out[..., 0] = rho_s * np.cos(phi_s)
-    out[..., 1] = rho_s * np.sin(phi_s)
-    out[..., 2] = sz
-    out[..., 3] = rho_l * np.cos(phi_l)
-    out[..., 4] = rho_l * np.sin(phi_l)
-    out[..., 5] = lz
-    return out
+    return np.stack(
+        [rho_s * np.cos(phi_s), rho_s * np.sin(phi_s), sz,
+         rho_l * np.cos(phi_l), rho_l * np.sin(phi_l), lz],
+        axis=-1,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +198,7 @@ def tangent_apply(x, v, p: ClassicalParams):
     spheres it coincides with the physical tangent dynamics.  It is never
     built as a matrix; batched like map_step.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    out = np.empty(np.broadcast_shapes(x.shape, v.shape))
-    cols = _tangent_apply_cols(_x_rotations(*_split(x), p), _split(v), p)
-    for i in range(6):
-        out[..., i] = cols[i]
-    return out
+    return np.stack(_tangent_apply_cols(_x_rotations(*_split(x), p), _split(v), p), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,29 @@ def test_break_scaling_mode_small(tmp_path):
     assert "lambda_qc (break-time scaling fit)" in (out / "summary.txt").read_text()
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_ensemble_draw_temporaries_leave_rss_when_freed():
+    # After a 24 MB block is freed, glibc's default serves an 8 MB array from
+    # the heap and keeps it resident after its own free; a fresh process
+    # keeps the pytest process's heap out of it.
+    script = (
+        "import numpy as np\n"
+        "from spinchaos import cli\n"
+        "def rss():\n"
+        "    return int(next(l for l in open('/proc/self/status') if l.startswith('VmRSS')).split()[1])\n"
+        "cli._unmap_large_blocks()\n"
+        "big = np.ones(3_000_000)\n"
+        "del big\n"
+        "a = np.ones(1_000_000)\n"
+        "before = rss()\n"
+        "del a\n"
+        "print(before - rss())\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) > 7000  # kB: the 8 MB array left RSS when freed
+
+
 def test_break_scaling_reports_dropped_direct_fit(monkeypatch, tmp_path):
     real_fit = correspondence.fit_growth_exponent
 

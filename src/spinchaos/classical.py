@@ -13,10 +13,15 @@ coupling ``gamma = c |S|`` and the magnitude ratio ``r = |L|/|S| >= 1``.
 Canonical coordinates are the normalized chart ``(Sz, phi_s, Lz, phi_l)``
 with ``Sz, Lz`` in [-1, 1]; the invariant measure is uniform in these four
 variables.
+
+This module owns the package's one worker pool, ``_in_order``: batched Lyapunov
+exponents and ``liouville``'s ensemble tiles run on it in blocks, and their
+results do not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +43,8 @@ __all__ = [
     "regime_scan",
 ]
 
+_WORKERS = min(2, len(os.sched_getaffinity(0)))  # threads that run batch blocks
+
 PARALLEL = "parallel"
 ANTIPARALLEL = "antiparallel"
 FixedPointClass = str  # one of PARALLEL, ANTIPARALLEL
@@ -58,6 +65,21 @@ class ClassicalParams:
             raise ValueError(f"magnitude ratio r={self.r} must be >= 1")
         if not np.isfinite(self.gamma):
             raise ValueError("coupling gamma must be finite")
+
+
+def _in_order(fn, blocks):
+    """Yield ``fn(b)`` per block in order, each once ready (a caller folding them
+    holds few), on up to ``_WORKERS`` threads; inline for one.  Workers call only
+    private names: a tracer of public calls keeps one stack.
+    """
+    workers = min(_WORKERS, len(blocks))
+    if workers < 2:
+        yield from map(fn, blocks)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        yield from pool.map(fn, blocks)
 
 
 def _split(x):
@@ -121,17 +143,14 @@ def map_step(x, p: ClassicalParams, renormalize: bool = True):
 
 def angles_to_state(theta_s, phi_s, theta_l, phi_l):
     """Unit spin pair from spherical angles (radians)."""
-    theta_s, phi_s, theta_l, phi_l = np.broadcast_arrays(
+    ts, ps, tl, pl = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (theta_s, phi_s, theta_l, phi_l))
     )
-    out = np.empty(theta_s.shape + (6,))
-    out[..., 0] = np.sin(theta_s) * np.cos(phi_s)
-    out[..., 1] = np.sin(theta_s) * np.sin(phi_s)
-    out[..., 2] = np.cos(theta_s)
-    out[..., 3] = np.sin(theta_l) * np.cos(phi_l)
-    out[..., 4] = np.sin(theta_l) * np.sin(phi_l)
-    out[..., 5] = np.cos(theta_l)
-    return out if out.shape != (6,) else out.reshape(6)
+    return np.stack(
+        [np.sin(ts) * np.cos(ps), np.sin(ts) * np.sin(ps), np.cos(ts),
+         np.sin(tl) * np.cos(pl), np.sin(tl) * np.sin(pl), np.cos(tl)],
+        axis=-1,
+    )
 
 
 def state_to_canonical(x):
@@ -140,7 +159,6 @@ def state_to_canonical(x):
     Returns ``(canonical, at_pole)``: at a pole the azimuth is undefined and
     is reported as 0.0 with the corresponding flag set.
     """
-    x = np.asarray(x, dtype=float)
     sx, sy, sz, lx, ly, lz = _split(x)
     phi_s = np.mod(np.arctan2(sy, sx), 2.0 * np.pi)
     phi_l = np.mod(np.arctan2(ly, lx), 2.0 * np.pi)
@@ -282,6 +300,8 @@ def lyapunov_exponent(
     is a float or a (B,) array accordingly.  A single state steps as six
     ``np.float64`` scalars through the same kernels as a batch, which spares
     the per-call overhead of size-1 arrays and gives the same bits as ``x0[None]``.
+    A batch runs in one block per worker of this module's pool; each exponent is
+    elementwise, so the result does not depend on the worker count.
 
     ``checkpoints``, an increasing sequence of step counts in [1, n_steps],
     makes one pass return the running exponent at each of them, shape (K,)
@@ -297,6 +317,18 @@ def lyapunov_exponent(
     if not marks or marks[0] < 1 or marks[-1] > n_steps or np.any(np.diff(marks) < 1):
         raise ValueError("checkpoints must increase strictly within [1, n_steps]")
     x0 = np.asarray(x0, dtype=float)
+    single = x0.ndim == 1
+    blocks = [x0] if single else np.array_split(x0, max(1, min(_WORKERS, len(x0))))
+    lam = np.hstack([*_in_order(lambda b: _lyapunov_marks(b, p, marks, renorm_every), blocks)])
+    if not np.all(np.isfinite(lam)):
+        raise FloatingPointError("non-finite tangent growth in Lyapunov accumulation")
+    if checkpoints is not None:
+        return lam
+    return float(lam[0]) if single else lam[0]
+
+
+def _lyapunov_marks(x0, p: ClassicalParams, marks, renorm_every: int):
+    """Running exponents of a state (6,) or block (b, 6) at ``marks``, shape (K,) or (K, b)."""
     single = x0.ndim == 1
     state = tuple(x0) if single else _split(x0.copy())
     zero = np.float64(0.0) if single else np.zeros(x0.shape[0])
@@ -318,12 +350,7 @@ def lyapunov_exponent(
         if step == marks[len(running)]:
             total = log_sum + np.log(sum(np.abs(comp) for comp in v)) if since_renorm else log_sum
             running.append(total / step)
-    lam = np.array(running)
-    if not np.all(np.isfinite(lam)):
-        raise FloatingPointError("non-finite tangent growth in Lyapunov accumulation")
-    if checkpoints is not None:
-        return lam
-    return float(lam[0]) if single else lam[0]
+    return np.array(running)
 
 
 @dataclass(frozen=True)

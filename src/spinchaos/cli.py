@@ -20,11 +20,11 @@ Exactly one coupling parameterization may be given: quantum ``c`` or scaled
 Every run writes ``manifest.txt`` (config echo, derived parameters, code
 version, timestamps, seed).  Modes that evolve a quantum state add a
 ``[health]`` section with the largest norm drift of a kick, and modes that
-evolve add a ``[timings]`` section with the wall seconds of the quantum build
-(Floquet operator and coherent states), quantum evolution, ensemble
-propagation and the whole run, and the ensemble worker count.  Data CSVs
-contain no timestamps: rerunning with an identical config and seed reproduces
-them byte for byte.
+evolve or scan add a ``[timings]`` section with the wall seconds of the quantum
+build (Floquet operator and coherent states), quantum evolution, ensemble
+propagation, Lyapunov exponents and the whole run, and the thread count of the
+pool that ensemble tiles and batched exponents share.  Data CSVs contain no
+timestamps: reruns with an identical config and seed reproduce them bytewise.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical error.
 """
@@ -254,15 +254,9 @@ def _write_manifest(outdir: Path, mode: str, cfg: dict, derived: dict, run_s: fl
         lines += ["", "[health]"]
         lines += [f"{key} = {value:.3e}" for key, value in _health.items()]
     if _stage_s:
-        lines += [
-            "",
-            "[timings]",
-            f"quantum_build_s = {_stage_s.get('quantum_build_s', 0.0):.6f}",
-            f"quantum_evolution_s = {_stage_s.get('quantum_evolution_s', 0.0):.6f}",
-            f"ensemble_propagation_s = {_stage_s.get('ensemble_propagation_s', 0.0):.6f}",
-            f"run_s = {run_s:.6f}",
-            f"ensemble_workers = {liouville._WORKERS}",
-        ]
+        stages = ("quantum_build_s", "quantum_evolution_s", "ensemble_propagation_s", "lyapunov_s")
+        lines += ["", "[timings]", *(f"{key} = {_stage_s.get(key, 0.0):.6f}" for key in stages)]
+        lines += [f"run_s = {run_s:.6f}", f"workers = {classical._WORKERS}"]
     (outdir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -383,9 +377,10 @@ def _run_lyapunov(cfg: dict, outdir: Path) -> dict:
 
 def _run_regime_scan(cfg: dict, outdir: Path) -> dict:
     p = _classical_params(cfg, "regime-scan")
-    res = classical.regime_scan(
-        p, cfg["n_samples"], cfg["scan_steps"], cfg["lambda_threshold"], cfg["seed"]
-    )
+    with _timed("lyapunov_s"):
+        res = classical.regime_scan(
+            p, cfg["n_samples"], cfg["scan_steps"], cfg["lambda_threshold"], cfg["seed"]
+        )
     write_csv(
         outdir / "scan.csv",
         {
@@ -423,7 +418,8 @@ def _fit_report(qs, cs, d, cfg: dict, conv: dict, ang: np.ndarray) -> tuple[list
     lines: list[str] = []
     values: dict = {}
     p = classical.ClassicalParams(conv["a"], conv["gamma"], conv["r"])
-    lam_l = classical.lyapunov_exponent(classical.angles_to_state(*ang), p, cfg["lyap_steps"])
+    with _timed("lyapunov_s"):
+        lam_l = classical.lyapunov_exponent(classical.angles_to_state(*ang), p, cfg["lyap_steps"])
     lines.append(f"lambda_L (trajectory at IC, {cfg['lyap_steps']} steps) = {lam_l:.6g}")
     values["lambda_L"] = lam_l
 

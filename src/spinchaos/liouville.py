@@ -18,19 +18,18 @@ Ensembles are propagated with the stroboscopic map.  Trajectories are drawn
 in fixed-size chunks, one after another, from one master-seeded generator,
 which keeps memory bounded and the Monte Carlo stream a function of
 (seed, n_traj) alone.  Each chunk is cut into fixed tiles that run every kick
-on one of up to two worker threads; the per-tile moment sums are added in tile
-order, so results depend on the tile size and never on the worker count.
+on the worker pool that ``classical`` owns; the per-tile moment sums are added
+in tile order, so results depend on the tile size and never on the worker count.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical import ClassicalParams, _map_cols
+from .classical import ClassicalParams, _in_order, _map_cols
 
 __all__ = [
     "MatchedDensityParams",
@@ -51,7 +50,6 @@ __all__ = [
 
 _CHUNK = 1_000_000  # trajectories drawn together from the generator
 _TILE = 16_384  # trajectories propagated together through every kick
-_WORKERS = min(2, len(os.sched_getaffinity(0)))  # threads that propagate tiles
 
 
 def sigma2_for(j: float) -> float:
@@ -245,26 +243,23 @@ def ensemble_evolve(ens: Ensemble, p: ClassicalParams, n_kicks: int) -> MomentSe
     """Propagate every trajectory and record moments at kicks 0..n_kicks.
 
     Each chunk is cut into tiles of ``_TILE`` trajectories, and each tile runs
-    all kicks on one of ``_WORKERS`` threads, recording raw moment sums per
+    all kicks on one thread of the ``classical`` pool, recording raw moment sums per
     kick and binning its L_z after the last kick as by
     :func:`marginal_pz_classical`.  The tile sums are added in tile order, so
     results depend on the tile size but not on the worker count, and are
     byte-identical across runs with the same (seed, n_traj).
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     if n_kicks < 0:
         raise ValueError("n_kicks must be >= 0")
     K = n_kicks + 1
     l = ens.l_density.j
     sums = np.zeros((K, 2, 9))
     pz_counts = 0
-    with ThreadPoolExecutor(_WORKERS) as pool:
-        for chunk in ens.iter_chunks():
-            tiles = [chunk[:, i:i + _TILE] for i in range(0, chunk.shape[1], _TILE)]
-            for tile_sums, counts in pool.map(lambda t: _tile_sums(t, p, n_kicks, l), tiles):
-                sums += tile_sums
-                pz_counts += counts
+    for chunk in ens.iter_chunks():
+        tiles = [chunk[:, i:i + _TILE] for i in range(0, chunk.shape[1], _TILE)]
+        for tile_sums, counts in _in_order(lambda t: _tile_sums(t, p, n_kicks, l), tiles):
+            sums += tile_sums
+            pz_counts += counts
     n_traj = ens.n_traj
     s_mu, s_se, s_var, s_var_se = _moments_from_sums(sums[:, 0], n_traj)
     l_mu, l_se, l_var, l_var_se = _moments_from_sums(sums[:, 1], n_traj)

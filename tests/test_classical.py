@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -297,6 +299,45 @@ def test_lyapunov_single_state_equals_batch_of_one():
             cl.lyapunov_exponent(CHAOTIC_IC, MIXED, 1003, re, checkpoints=CHECKPOINTS),
             cl.lyapunov_exponent(CHAOTIC_IC[None], MIXED, 1003, re, checkpoints=CHECKPOINTS)[:, 0],
         )
+
+
+@pytest.mark.parametrize("checkpoints", [None, CHECKPOINTS], ids=["final", "checkpoints"])
+def test_lyapunov_batch_independent_of_worker_count(monkeypatch, checkpoints):
+    xs = random_states(7, np.random.default_rng(3))  # odd: the two blocks differ in size
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(cl, "_WORKERS", workers)
+        runs.append(cl.lyapunov_exponent(xs, MIXED, 1003, checkpoints=checkpoints))
+    assert runs[0].shape == ((7,) if checkpoints is None else (len(CHECKPOINTS), 7))
+    assert np.array_equal(runs[0], runs[1])
+
+
+def test_regime_scan_independent_of_worker_count(monkeypatch):
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(cl, "_WORKERS", workers)
+        runs.append(cl.regime_scan(MIXED, n_samples=101, n_steps=500, seed=4))
+    assert np.array_equal(runs[0].lambdas, runs[1].lambdas)
+    assert np.array_equal(runs[0].points, runs[1].points)
+
+
+def test_lyapunov_starts_a_thread_only_for_two_or_more_states(monkeypatch):
+    pools = []
+    real_pool = concurrent.futures.ThreadPoolExecutor
+
+    def recording_pool(*args, **kwargs):
+        pools.append(args)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(cl, "_WORKERS", 2)
+    cl.lyapunov_exponent(CHAOTIC_IC, MIXED, 50)
+    cl.lyapunov_exponent(CHAOTIC_IC, MIXED, 50, checkpoints=[10, 50])
+    cl.lyapunov_exponent(CHAOTIC_IC[None], MIXED, 50)
+    cl.regime_scan(MIXED, n_samples=1, n_steps=50)
+    assert pools == []
+    cl.lyapunov_exponent(np.stack([CHAOTIC_IC, CHAOTIC_IC]), MIXED, 50)
+    assert pools == [(2,)]
 
 
 def test_regime_scan_integrable_limit():

@@ -280,15 +280,31 @@ def test_compare_manifest_records_timings(tmp_path):
         line.split(" = ") for line in manifest.split("[timings]\n", 1)[1].splitlines()
     )
     assert list(timings) == [
-        "quantum_build_s", "quantum_evolution_s", "ensemble_propagation_s", "run_s",
-        "ensemble_workers",
+        "quantum_build_s", "quantum_evolution_s", "ensemble_propagation_s", "lyapunov_s",
+        "run_s", "workers",
     ]
-    build_s, quantum_s, ensemble_s, run_s = (float(timings[key]) for key in list(timings)[:4])
-    assert build_s > 0.0 and quantum_s > 0.0 and ensemble_s > 0.0
-    assert build_s + quantum_s + ensemble_s <= run_s + 1e-5  # each rounded to 1e-6
-    assert int(timings["ensemble_workers"]) == liouville._WORKERS
+    stages_s = [float(timings[key]) for key in list(timings)[:4]]
+    assert all(t > 0.0 for t in stages_s), timings
+    assert sum(stages_s) <= float(timings["run_s"]) + 1e-5  # each rounded to 1e-6
+    assert int(timings["workers"]) == classical._WORKERS
     for name in ("qmoments.csv", "cmoments.csv", "delta.csv", "summary.txt"):
         assert "timings" not in (tmp_path / name).read_text()
+
+
+def test_regime_scan_manifest_records_lyapunov_time(tmp_path):
+    cfg = cli.parse_config(
+        None, [f"outdir={tmp_path}", "a=5.0", "gamma=1.215", "r=1.1", "n_samples=5",
+               "scan_steps=50"],
+    )
+    assert cli.run("regime-scan", cfg) == 0
+    manifest = (tmp_path / "manifest.txt").read_text()
+    timings = dict(
+        line.split(" = ") for line in manifest.split("\n[timings]\n", 1)[1].splitlines()
+    )
+    assert 0.0 < float(timings["lyapunov_s"]) <= float(timings["run_s"])
+    assert float(timings["ensemble_propagation_s"]) == 0.0
+    assert int(timings["workers"]) == classical._WORKERS
+    assert "timings" not in (tmp_path / "scan.csv").read_text()
 
 
 def test_compare_manifest_records_quantum_norm_drift(tmp_path):

@@ -4,9 +4,10 @@ Each mode runs at a small scale from a shipped config into ``tmp_path`` and
 every data file is compared with ``tests/golden/<mode>/``. Headers, integer
 columns and every non-float token of ``summary.txt`` must match exactly;
 each float must agree to 1e-9 of the largest magnitude in its column (each
-float of ``summary.txt`` is its own column). A second run must reproduce
-every data file byte for byte. ``manifest.txt`` carries timestamps and
-timings and is not compared.
+float of ``summary.txt`` is its own column). The files in ``EXACT`` must
+equal their reference byte for byte. A second run must reproduce every data
+file byte for byte. ``manifest.txt`` carries timestamps and timings and is not
+compared.
 
 Regenerate the references (see ``tests/golden/README.md`` for when) with
 
@@ -38,6 +39,10 @@ RUNS = {
     "classical-traj": ("lyapunov_mixed.cfg", ["n_kicks=50"]),
     "appendix-check": ("appendix_check.cfg", ["n_samples=10000"]),
 }
+
+# mode -> data files that must be byte-identical to their reference: the scan's
+# exponents are elementwise, so neither the worker count nor its blocks move a bit
+EXACT = {"regime-scan": {"scan.csv"}}
 
 _INT = re.compile(r"[-+]?\d+")
 _NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|(?<!\w)[-+]?(?:nan|inf)\b")
@@ -105,7 +110,9 @@ def test_mode_replays_golden_outputs(mode, tmp_path):
     assert names == data_files(second)
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes(), f"{name}: replay"
-        if name.endswith(".csv"):
+        if name in EXACT.get(mode, ()):
+            assert (first / name).read_bytes() == (ref_dir / name).read_bytes(), f"{name}: bytes"
+        elif name.endswith(".csv"):
             compare_csv(first / name, ref_dir / name)
         else:
             compare_text(first / name, ref_dir / name)

@@ -189,7 +189,7 @@ def test_ensemble_evolve_independent_of_worker_count(monkeypatch):
     monkeypatch.setattr(lv, "_TILE", 64)
     runs = []
     for workers in (1, 2):
-        monkeypatch.setattr(lv, "_WORKERS", workers)
+        monkeypatch.setattr(cl, "_WORKERS", workers)
         runs.append(lv.ensemble_evolve(_small_ensemble(n=1000), p, 6))
     for name in ("kicks", "s_tilde_mean", "s_tilde_se", "l_tilde_mean", "l_tilde_se",
                  "var_norm_s", "var_norm_s_se", "var_norm_l", "var_norm_l_se", "pz_final"):
@@ -199,6 +199,7 @@ def test_ensemble_evolve_independent_of_worker_count(monkeypatch):
 def test_ensemble_workers_call_no_public_function(monkeypatch):
     # A span tracer wraps every public function and keeps its spans on one
     # stack, so a public call from a worker thread would corrupt that stack.
+    # Both users of the worker pool run here: the ensemble and the regime scan.
     callers = []
 
     def recording(fn):
@@ -214,11 +215,29 @@ def test_ensemble_workers_call_no_public_function(monkeypatch):
             if inspect.isfunction(fn):
                 monkeypatch.setattr(module, name, recording(fn))
     monkeypatch.setattr(lv, "_TILE", 64)
-    monkeypatch.setattr(lv, "_WORKERS", 2)
-    ens = _small_ensemble(n=1000)
-    lv.ensemble_evolve(ens, cl.ClassicalParams(5.0, 2.835, 1.1), 6)
-    assert ("ensemble_evolve", threading.get_ident()) in callers
-    assert all(ident == threading.get_ident() for _, ident in callers), callers
+    monkeypatch.setattr(cl, "_WORKERS", 2)
+    block_threads = {}  # the private kernel each caller runs per block -> thread ids
+
+    def record_threads(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            block_threads.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    record_threads(lv, "_tile_sums")
+    record_threads(cl, "_lyapunov_marks")
+    p = cl.ClassicalParams(5.0, 2.835, 1.1)
+    lv.ensemble_evolve(_small_ensemble(n=1000), p, 6)
+    cl.regime_scan(p, n_samples=9, n_steps=20)
+    main = threading.get_ident()
+    assert ("ensemble_evolve", main) in callers
+    assert ("regime_scan", main) in callers and ("lyapunov_exponent", main) in callers
+    assert all(idents - {main} for idents in block_threads.values()), block_threads
+    assert sorted(block_threads) == ["_lyapunov_marks", "_tile_sums"]
+    assert all(ident == main for _, ident in callers), callers
 
 
 def test_ensemble_evolve_decoupled_keeps_lz():

@@ -16,11 +16,14 @@ variables.
 
 This module owns the package's one worker pool, ``_in_order``: batched Lyapunov
 exponents and ``liouville``'s ensemble tiles run on it in blocks, and their
-results do not depend on the worker count.
+results do not depend on the worker count.  One state steps as Python floats
+through the same kernels (``math``'s cos, sin, sqrt), bit for bit a batch of one;
+the Lyapunov log stays ``np.log`` there, as ``math.log`` rounds differently.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -87,17 +90,17 @@ def _split(x):
     return (x[..., 0], x[..., 1], x[..., 2], x[..., 3], x[..., 4], x[..., 5])
 
 
-def _x_rotations(sx, sy, sz, lx, ly, lz, p: ClassicalParams):
+def _x_rotations(sx, sy, sz, lx, ly, lz, p: ClassicalParams, xp=np):
     """The kick's x-rotations, with both angles from the pre-kick components.
 
     Returns ``(cal, sal, cbe, sbe, syr, szr, lyr, lzr)``: cos/sin of the
     S angle gamma r Lx and of the L angle gamma Sx, and the rotated (y, z)
-    components of S and L.
+    components of S and L; ``xp`` (``np``, or ``math`` for one state) supplies cos, sin.
     """
     alpha = (p.gamma * p.r) * lx
     beta = p.gamma * sx
-    cal, sal = np.cos(alpha), np.sin(alpha)
-    cbe, sbe = np.cos(beta), np.sin(beta)
+    cal, sal = xp.cos(alpha), xp.sin(alpha)
+    cbe, sbe = xp.cos(beta), xp.sin(beta)
     return (
         cal, sal, cbe, sbe,
         sy * cal - sz * sal, sz * cal + sy * sal,
@@ -105,23 +108,23 @@ def _x_rotations(sx, sy, sz, lx, ly, lz, p: ClassicalParams):
     )
 
 
-def _map_cols(sx, sy, sz, lx, ly, lz, p: ClassicalParams, renormalize=True, rot=None):
-    """Kernel for one kick on component arrays (any matching shapes).
+def _map_cols(sx, sy, sz, lx, ly, lz, p: ClassicalParams, renormalize=True, rot=None, xp=np):
+    """Kernel for one kick on component arrays (any matching shapes) or floats.
 
     ``rot`` is this state's :func:`_x_rotations`, if the caller already has it.
     """
     if rot is None:
-        rot = _x_rotations(sx, sy, sz, lx, ly, lz, p)
+        rot = _x_rotations(sx, sy, sz, lx, ly, lz, p, xp)
     syr, szr, lyr, lzr = rot[4:]
-    ca, sa = np.cos(p.a), np.sin(p.a)
+    ca, sa = xp.cos(p.a), xp.sin(p.a)
     nsx = sx * ca - syr * sa
     nsy = syr * ca + sx * sa
     nlx = lx * ca - lyr * sa
     nly = lyr * ca + lx * sa
 
     if renormalize:
-        ns = np.sqrt(nsx * nsx + nsy * nsy + szr * szr)
-        nl = np.sqrt(nlx * nlx + nly * nly + lzr * lzr)
+        ns = xp.sqrt(nsx * nsx + nsy * nsy + szr * szr)
+        nl = xp.sqrt(nlx * nlx + nly * nly + lzr * lzr)
         return nsx / ns, nsy / ns, szr / ns, nlx / nl, nly / nl, lzr / nl
     return nsx, nsy, szr, nlx, nly, lzr
 
@@ -132,8 +135,12 @@ def map_step(x, p: ClassicalParams, renormalize: bool = True):
     With ``renormalize`` (the default) both unit vectors are rescaled to
     norm 1 after the step, which pins down rounding drift over 1e5-step runs.
     The update itself is an exact pair of rotations, so the rescaling only
-    removes float noise.
+    removes float noise.  One state (6,) steps as Python floats, with a batch's
+    bits; a zero spin or an infinite component raises there instead of giving nan.
     """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return np.array(_map_cols(*x.tolist(), p, renormalize, xp=math))
     return np.stack(_map_cols(*_split(x), p, renormalize=renormalize), axis=-1)
 
 
@@ -185,14 +192,14 @@ def canonical_to_state(c):
 # tangent dynamics
 
 
-def _tangent_apply_cols(rot, v_cols, p: ClassicalParams):
+def _tangent_apply_cols(rot, v_cols, p: ClassicalParams, xp=np):
     """Apply the tangent map to displacement columns, no 6x6 build.
 
     ``rot`` is the :func:`_x_rotations` of the state the map is linearized at.
     """
     cal, sal, cbe, sbe, syr, szr, lyr, lzr = rot
     dsx, dsy, dsz, dlx, dly, dlz = v_cols
-    ca, sa = np.cos(p.a), np.sin(p.a)
+    ca, sa = xp.cos(p.a), xp.sin(p.a)
     gr = p.gamma * p.r
 
     dsyr = dsy * cal - dsz * sal - gr * szr * dlx
@@ -297,11 +304,13 @@ def lyapunov_exponent(
     lambda = (1/N) * sum of log per-step 1-norm growth.
 
     ``x0`` may be a single state of shape (6,) or a batch (B, 6); the return
-    is a float or a (B,) array accordingly.  A single state steps as six
-    ``np.float64`` scalars through the same kernels as a batch, which spares
-    the per-call overhead of size-1 arrays and gives the same bits as ``x0[None]``.
-    A batch runs in one block per worker of this module's pool; each exponent is
-    elementwise, so the result does not depend on the worker count.
+    is a float or a (B,) array accordingly.  A single state steps as six Python
+    floats through the same kernels, with ``math``'s cos, sin and sqrt (numpy's
+    float64 ones give the same libm bits), and equals ``x0[None]`` bit for bit;
+    the log stays ``np.log``, as ``math.log`` differs from numpy's SIMD log by
+    one ulp on about 0.1 % of arguments.  A batch runs in one block per worker
+    of this module's pool; each exponent is elementwise, so the result does not
+    depend on the worker count.
 
     ``checkpoints``, an increasing sequence of step counts in [1, n_steps],
     makes one pass return the running exponent at each of them, shape (K,)
@@ -319,7 +328,10 @@ def lyapunov_exponent(
     x0 = np.asarray(x0, dtype=float)
     single = x0.ndim == 1
     blocks = [x0] if single else np.array_split(x0, max(1, min(_WORKERS, len(x0))))
-    lam = np.hstack([*_in_order(lambda b: _lyapunov_marks(b, p, marks, renorm_every), blocks)])
+    try:
+        lam = np.hstack([*_in_order(lambda b: _lyapunov_marks(b, p, marks, renorm_every), blocks)])
+    except (ValueError, ZeroDivisionError):  # math's 0/0 or cos(inf) on one state
+        lam = np.array([np.nan])
     if not np.all(np.isfinite(lam)):
         raise FloatingPointError("non-finite tangent growth in Lyapunov accumulation")
     if checkpoints is not None:
@@ -330,25 +342,25 @@ def lyapunov_exponent(
 def _lyapunov_marks(x0, p: ClassicalParams, marks, renorm_every: int):
     """Running exponents of a state (6,) or block (b, 6) at ``marks``, shape (K,) or (K, b)."""
     single = x0.ndim == 1
-    state = tuple(x0) if single else _split(x0.copy())
-    zero = np.float64(0.0) if single else np.zeros(x0.shape[0])
+    xp = math if single else np
+    state = tuple(x0.tolist()) if single else _split(x0.copy())
+    zero = 0.0 if single else np.zeros(x0.shape[0])
     v = [zero + 1.0] + [zero] * 5
     log_sum = zero + 0.0  # its own buffer: the batched += is in place
     running = []
     since_renorm = 0
     for step in range(1, marks[-1] + 1):
-        rot = _x_rotations(*state, p)
-        v = list(_tangent_apply_cols(rot, v, p))
-        state = _map_cols(*state, p, rot=rot)
+        rot = _x_rotations(*state, p, xp)
+        v = _tangent_apply_cols(rot, v, p, xp)
+        state = _map_cols(*state, p, rot=rot, xp=xp)
         since_renorm += 1
         if since_renorm == renorm_every:
-            d = sum(np.abs(comp) for comp in v)
+            d = abs(v[0]) + abs(v[1]) + abs(v[2]) + abs(v[3]) + abs(v[4]) + abs(v[5])
             log_sum += np.log(d)
-            for i in range(6):
-                v[i] = v[i] / d
+            v = [c / d for c in v]
             since_renorm = 0
         if step == marks[len(running)]:
-            total = log_sum + np.log(sum(np.abs(comp) for comp in v)) if since_renorm else log_sum
+            total = log_sum + np.log(sum(map(abs, v))) if since_renorm else log_sum
             running.append(total / step)
     return np.array(running)
 

@@ -20,8 +20,8 @@ Exactly one coupling parameterization may be given: quantum ``c`` or scaled
 Every run writes ``manifest.txt`` (config echo, derived parameters, code
 version, timestamps, seed).  Modes that evolve a quantum state add a
 ``[health]`` section with the largest norm drift of a kick, and modes that
-evolve or scan add a ``[timings]`` section with the wall seconds of the quantum
-build (Floquet operator and coherent states), quantum evolution, ensemble
+evolve, scan or take exponents add a ``[timings]`` section: wall seconds of the
+quantum build (Floquet operator and coherent states), quantum evolution, ensemble
 propagation, Lyapunov exponents and the whole run, and the thread count of the
 pool that ensemble tiles and batched exponents share.  Data CSVs contain no
 timestamps: reruns with an identical config and seed reproduce them bytewise.
@@ -368,7 +368,8 @@ def _run_lyapunov(cfg: dict, outdir: Path) -> dict:
     checkpoints = list(range(every, n_steps + 1, every))
     if not checkpoints or checkpoints[-1] != n_steps:
         checkpoints.append(n_steps)
-    running = classical.lyapunov_exponent(x0, p, n_steps, checkpoints=checkpoints)
+    with _timed("lyapunov_s"):
+        running = classical.lyapunov_exponent(x0, p, n_steps, checkpoints=checkpoints)
     lam = float(running[-1])
     write_csv(outdir / "lyapunov.csv", {"n": np.array(checkpoints), "lambda_running": running})
     (outdir / "summary.txt").write_text(f"lambda_L = {lam:.17g} (n_steps = {n_steps})\n")

@@ -13,6 +13,7 @@ from oracles import (
 )
 
 MIXED = cl.ClassicalParams(a=5.0, gamma=1.215, r=1.1)
+GLOBAL = cl.ClassicalParams(a=5.0, gamma=2.835, r=1.1)
 CHAOTIC_IC = cl.angles_to_state(*np.deg2rad([20.0, 40.0, 160.0, 130.0]))
 
 
@@ -248,11 +249,30 @@ def test_lyapunov_renorm_interval_equivalent():
     assert abs(lam1 - lam2) < 1e-9
 
 
+CHECKPOINTS = [1, 5, 700, 1000, 1003]
+
+
 def test_lyapunov_batch_matches_single():
-    xs = np.stack([CHAOTIC_IC, cl.angles_to_state(*np.deg2rad([5.0, 5.0, 5.0, 5.0]))])
-    lams = cl.lyapunov_exponent(xs, MIXED, 1500)
-    for i in range(2):
-        assert abs(lams[i] - cl.lyapunov_exponent(xs[i], MIXED, 1500)) < 1e-12
+    # one state steps on Python floats through math, a batch on arrays through
+    # numpy: the same bits, final values and checkpoints (with a partial stretch)
+    xs = random_states(12, np.random.default_rng(8))
+    for p in (MIXED, GLOBAL):
+        for re in (1, 7):
+            lams = cl.lyapunov_exponent(xs, p, 1003, re)
+            running = cl.lyapunov_exponent(xs, p, 1003, re, checkpoints=CHECKPOINTS)
+            for i, x in enumerate(xs):
+                assert lams[i] == cl.lyapunov_exponent(x, p, 1003, re)
+                assert np.array_equal(
+                    running[:, i], cl.lyapunov_exponent(x, p, 1003, re, checkpoints=CHECKPOINTS)
+                )
+
+
+def test_lyapunov_degenerate_state_raises_floating_point_error():
+    # math raises on 0/0 and cos(inf) where numpy gives nan: both paths report it alike
+    for x in (np.zeros(6), np.array([np.inf, 0.0, 0.0, 0.0, 0.0, 1.0])):
+        for x0 in (x, x[None]):
+            with pytest.raises(FloatingPointError), np.errstate(all="ignore"):
+                cl.lyapunov_exponent(x0, MIXED, 10)
 
 
 def test_lyapunov_input_validation():
@@ -260,9 +280,6 @@ def test_lyapunov_input_validation():
         cl.lyapunov_exponent(CHAOTIC_IC, MIXED, 0)
     with pytest.raises(ValueError):
         cl.lyapunov_exponent(CHAOTIC_IC, MIXED, 10, renorm_every=0)
-
-
-CHECKPOINTS = [1, 5, 700, 1000, 1003]
 
 
 @pytest.mark.parametrize("renorm_every", [1, 7])

@@ -307,6 +307,22 @@ def test_regime_scan_manifest_records_lyapunov_time(tmp_path):
     assert "timings" not in (tmp_path / "scan.csv").read_text()
 
 
+def test_lyapunov_manifest_records_lyapunov_time(tmp_path):
+    cfg = cli.parse_config(
+        None, [f"outdir={tmp_path}", *LYAPUNOV_ARGS, "n_steps=200", "sample_every=50"]
+    )
+    assert cli.run("lyapunov", cfg) == 0
+    manifest = (tmp_path / "manifest.txt").read_text()
+    timings = dict(
+        line.split(" = ") for line in manifest.split("\n[timings]\n", 1)[1].splitlines()
+    )
+    assert 0.0 < float(timings["lyapunov_s"]) <= float(timings["run_s"])
+    assert float(timings["ensemble_propagation_s"]) == 0.0
+    assert int(timings["workers"]) == classical._WORKERS
+    for name in ("lyapunov.csv", "summary.txt"):
+        assert "timings" not in (tmp_path / name).read_text()
+
+
 def test_compare_manifest_records_quantum_norm_drift(tmp_path):
     cfg = cli.parse_config(
         None, [f"outdir={tmp_path}", *COMPARE_ARGS, "n_kicks=5", "n_traj=2000", "lyap_steps=100"]

@@ -41,8 +41,13 @@ RUNS = {
 }
 
 # mode -> data files that must be byte-identical to their reference: the scan's
-# exponents are elementwise, so neither the worker count nor its blocks move a bit
-EXACT = {"regime-scan": {"scan.csv"}}
+# exponents are elementwise, so neither the worker count nor its blocks move a bit,
+# and one trajectory steps through the same kernels as a batch, bit for bit
+EXACT = {
+    "regime-scan": {"scan.csv"},
+    "lyapunov": {"lyapunov.csv", "summary.txt"},
+    "classical-traj": {"traj.csv"},
+}
 
 _INT = re.compile(r"[-+]?\d+")
 _NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|(?<!\w)[-+]?(?:nan|inf)\b")

@@ -16,9 +16,10 @@ variables.
 
 This module owns the package's one worker pool, ``_in_order``: batched Lyapunov
 exponents and ``liouville``'s ensemble tiles run on it in blocks, and their
-results do not depend on the worker count.  One state steps as Python floats
-through the same kernels (``math``'s cos, sin, sqrt), bit for bit a batch of one;
-the Lyapunov log stays ``np.log`` there, as ``math.log`` rounds differently.
+results do not depend on the worker count.  One Lyapunov trajectory steps as
+Python floats through the same kernels with ``math``'s cos, sin and sqrt, bit for
+bit a batch of one where numpy's ones call libm (checked: numpy 2.4.6, glibc 2.36,
+x86-64 AVX-512); its log stays ``np.log``, which ``math.log`` does not match.
 """
 
 from __future__ import annotations
@@ -135,12 +136,8 @@ def map_step(x, p: ClassicalParams, renormalize: bool = True):
     With ``renormalize`` (the default) both unit vectors are rescaled to
     norm 1 after the step, which pins down rounding drift over 1e5-step runs.
     The update itself is an exact pair of rotations, so the rescaling only
-    removes float noise.  One state (6,) steps as Python floats, with a batch's
-    bits; a zero spin or an infinite component raises there instead of giving nan.
+    removes float noise.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return np.array(_map_cols(*x.tolist(), p, renormalize, xp=math))
     return np.stack(_map_cols(*_split(x), p, renormalize=renormalize), axis=-1)
 
 
@@ -305,12 +302,13 @@ def lyapunov_exponent(
 
     ``x0`` may be a single state of shape (6,) or a batch (B, 6); the return
     is a float or a (B,) array accordingly.  A single state steps as six Python
-    floats through the same kernels, with ``math``'s cos, sin and sqrt (numpy's
-    float64 ones give the same libm bits), and equals ``x0[None]`` bit for bit;
-    the log stays ``np.log``, as ``math.log`` differs from numpy's SIMD log by
-    one ulp on about 0.1 % of arguments.  A batch runs in one block per worker
-    of this module's pool; each exponent is elementwise, so the result does not
-    depend on the worker count.
+    floats through the same kernels, with ``math``'s cos, sin and sqrt, and
+    equals ``x0[None]`` bit for bit where numpy's float64 ones call libm (checked
+    on 2e6 arguments each with numpy 2.4.6 and glibc 2.36 on x86-64 with AVX-512).
+    The log stays ``np.log``, as ``math.log`` differs from numpy's SIMD log by one
+    ulp on about 0.1 % of arguments.  A batch runs in one block per worker of this
+    module's pool; each exponent is elementwise, so the result does not depend on
+    the worker count.
 
     ``checkpoints``, an increasing sequence of step counts in [1, n_steps],
     makes one pass return the running exponent at each of them, shape (K,)
@@ -330,8 +328,10 @@ def lyapunov_exponent(
     blocks = [x0] if single else np.array_split(x0, max(1, min(_WORKERS, len(x0))))
     try:
         lam = np.hstack([*_in_order(lambda b: _lyapunov_marks(b, p, marks, renorm_every), blocks)])
-    except (ValueError, ZeroDivisionError):  # math's 0/0 or cos(inf) on one state
-        lam = np.array([np.nan])
+    except (ValueError, ZeroDivisionError) as e:  # math's 0/0 or cos(inf) on one state
+        if not single:
+            raise
+        raise FloatingPointError("non-finite tangent growth in Lyapunov accumulation") from e
     if not np.all(np.isfinite(lam)):
         raise FloatingPointError("non-finite tangent growth in Lyapunov accumulation")
     if checkpoints is not None:
@@ -354,13 +354,15 @@ def _lyapunov_marks(x0, p: ClassicalParams, marks, renorm_every: int):
         v = _tangent_apply_cols(rot, v, p, xp)
         state = _map_cols(*state, p, rot=rot, xp=xp)
         since_renorm += 1
-        if since_renorm == renorm_every:
+        # the 1-norm left to right: on floats, sum() compensates from Python 3.12
+        if since_renorm == renorm_every or step == marks[len(running)]:
             d = abs(v[0]) + abs(v[1]) + abs(v[2]) + abs(v[3]) + abs(v[4]) + abs(v[5])
+        if since_renorm == renorm_every:
             log_sum += np.log(d)
             v = [c / d for c in v]
             since_renorm = 0
         if step == marks[len(running)]:
-            total = log_sum + np.log(sum(map(abs, v))) if since_renorm else log_sum
+            total = log_sum + np.log(d) if since_renorm else log_sum
             running.append(total / step)
     return np.array(running)
 

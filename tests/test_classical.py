@@ -254,8 +254,10 @@ CHECKPOINTS = [1, 5, 700, 1000, 1003]
 
 def test_lyapunov_batch_matches_single():
     # one state steps on Python floats through math, a batch on arrays through
-    # numpy: the same bits, final values and checkpoints (with a partial stretch)
-    xs = random_states(12, np.random.default_rng(8))
+    # numpy: the same bits, final values and checkpoints (with a partial stretch),
+    # where numpy's float64 cos, sin and sqrt call libm
+    near_pole = cl.angles_to_state(*np.deg2rad([5.0, 5.0, 5.0, 5.0]))
+    xs = np.vstack([CHAOTIC_IC, near_pole, random_states(12, np.random.default_rng(8))])
     for p in (MIXED, GLOBAL):
         for re in (1, 7):
             lams = cl.lyapunov_exponent(xs, p, 1003, re)

@@ -43,7 +43,6 @@ __all__ = [
     "initial_offset_jz",
     "build_ensemble",
     "ensemble_evolve",
-    "marginal_pz_classical",
     "appendix_moments",
     "vector_model_mc",
 ]
@@ -134,8 +133,7 @@ class Ensemble:
 
     Initial conditions are the product of two matched densities (one per
     spin).  States are generated lazily in chunks so that arbitrarily large
-    ensembles run in bounded memory; `states` materializes everything and is
-    meant for modest n_traj.
+    ensembles run in bounded memory.
     """
 
     s_density: MatchedDensityParams
@@ -162,11 +160,6 @@ class Ensemble:
             chunk[3:] = sample_polarized(self.l_density, rng, m).T
             yield chunk
             remaining -= m
-
-    @property
-    def states(self) -> np.ndarray:
-        """All initial conditions as an (n_traj, 6) array."""
-        return np.concatenate([chunk.T for chunk in self.iter_chunks()], axis=0)
 
 
 def build_ensemble(
@@ -196,7 +189,7 @@ class MomentSeries:
     normalized variance is 1 - |<~J>_c|^2 (the Casimir is exact trajectory by
     trajectory).  Standard errors on the variance come from the delta method
     applied to the mean-vector covariance.  ``pz_final`` is the L_z marginal
-    after the last kick, as :func:`marginal_pz_classical` bins it.
+    after the last kick, in the 2l+1 unit bins of ``_pz_counts``.
     """
 
     mag_s: float
@@ -244,10 +237,9 @@ def ensemble_evolve(ens: Ensemble, p: ClassicalParams, n_kicks: int) -> MomentSe
 
     Each chunk is cut into tiles of ``_TILE`` trajectories, and each tile runs
     all kicks on one thread of the ``classical`` pool, recording raw moment sums per
-    kick and binning its L_z after the last kick as by
-    :func:`marginal_pz_classical`.  The tile sums are added in tile order, so
-    results depend on the tile size but not on the worker count, and are
-    byte-identical across runs with the same (seed, n_traj).
+    kick and binning its L_z after the last kick with ``_pz_counts``.  The tile
+    sums are added in tile order, so results depend on the tile size but not on
+    the worker count, and are byte-identical across runs with the same (seed, n_traj).
     """
     if n_kicks < 0:
         raise ValueError("n_kicks must be >= 0")
@@ -281,24 +273,16 @@ def ensemble_evolve(ens: Ensemble, p: ClassicalParams, n_kicks: int) -> MomentSe
 
 
 def _pz_counts(lz_tilde: np.ndarray, l: float) -> np.ndarray:
-    """Integer counts of L_z = sqrt(l(l+1)) Lz~ in 2l+1 unit bins, descending m_l."""
+    """Integer counts of L_z = sqrt(l(l+1)) Lz~ in 2l+1 unit bins, descending m_l.
+
+    The bins are centered on m_l; values in the sliver |L_z| in (l, |L|] are
+    clamped into the end bins.
+    """
     dim = int(round(2 * l)) + 1
     lz = math.sqrt(l * (l + 1.0)) * lz_tilde.reshape(-1)
     idx = np.rint(l - lz).astype(np.int64)  # descending index i = l - m
     np.clip(idx, 0, dim - 1, out=idx)
     return np.bincount(idx, minlength=dim)
-
-
-def marginal_pz_classical(states: np.ndarray, l: float):
-    """Discretize the L_z marginal into 2l+1 unit bins centered on m_l.
-
-    ``states`` is an (n, 6) array of unit spin pairs; L_z = |L| Lz~ with
-    |L| = sqrt(l(l+1)).  Values in the sliver |L_z| in (l, |L|] are clamped
-    into the end bins.  Returned over descending m_l, matching the quantum
-    marginal; entries sum to exactly 1.
-    """
-    counts = _pz_counts(np.asarray(states)[..., 5], l)
-    return counts / counts.sum()
 
 
 # ---------------------------------------------------------------------------

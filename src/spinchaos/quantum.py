@@ -14,8 +14,10 @@ rotation exp(-i a J_z) is the real d^(j)(a), so one kick is
     z <- d_s(a) (D o z) d_l(a)^T,
 
 two real matrix products (Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987)).
-The spin-1/2 coupling recursion builds only d^(j)(pi/2), cached per j; every
-other d^(j)(theta), coherent states included, is the one product
+Only d^(j)(pi/2) is built directly: its columns are the J_x eigenvectors from
+one ``eigh`` of the tridiagonal J_x (Feng, Wang, Yang & Jin, Phys. Rev. E 92,
+043307 (2015)), their signs fixed by a ladder rule.  Every other
+d^(j)(theta), coherent states included, is the one product
 Re[U^dagger exp(-i theta J_z) U].  Mean spin components in the frame are the
 lab ones relabelled cyclically, (x, y, z)_lab = (z, x, y)_frame, the same for
 both spins.
@@ -72,34 +74,31 @@ def m_values(j) -> np.ndarray:
     return jf - np.arange(dim_of(jf), dtype=float)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=2)
 def _wigner_d_half_pi(twoj: int) -> np.ndarray:
-    """Build d^(j)(pi/2) by coupling a spin-1/2 per half step (read-only, cached per j).
+    """Build d^(j)(pi/2) from the J_x eigenvectors (read-only).
 
-    Starting from the trivial d^(0) = [[1]], each half step composes the
-    current matrix with the spin-1/2 rotation through the stretched
-    Clebsch-Gordan coefficients
-
-        |j,m> = sqrt((j+m)/2j) |j-1/2, m-1/2>|+>  +  sqrt((j-m)/2j) |j-1/2, m+1/2>|->.
-
-    Every coefficient has magnitude <= 1, which keeps the recursion stable up
-    to the largest quantum numbers used here (j ~ 220 and beyond).
+    Its columns, m descending, are the eigenvectors of J_x with eigenvalue m
+    (Feng, Wang, Yang & Jin, Phys. Rev. E 92, 043307 (2015)).  One ``eigh``
+    of the tridiagonal J_x gives them up to sign; a ladder rule fixes the
+    signs.  Column m = j is 2^-j sqrt(binom(2j, j+m')) >= 0, and
+    A = d J_+ d^T = -J_z + (J_+ - J_-)/2 maps column m to c_+(m) times column
+    m+1, so col_{m+1} . (A col_m) = c_+(m) >= sqrt(2j): each overlap's sign
+    is the relative sign of two neighbouring eigenvectors, and never small.
+    The cache holds the two spins of the pair in hand, so a sweep over l
+    keeps no earlier size alive.
     """
-    c = np.cos(np.pi / 4)
-    s = np.sin(np.pi / 4)
-    d = np.ones((1, 1))
-    for k in range(1, twoj + 1):
-        # current target 2j = k, previous matrix has shape (k, k)
-        n = k + 1
-        i = np.arange(n, dtype=float)       # i = j - m, descending-m index
-        up = np.sqrt((k - i) / k)           # weight of |j-1/2, m-1/2>|+>
-        dn = np.sqrt(i / k)                 # weight of |j-1/2, m+1/2>|->
-        out = np.zeros((n, n))
-        out[:-1, :-1] += c * np.outer(up[:-1], up[:-1]) * d
-        out[:-1, 1:] += -s * np.outer(up[:-1], dn[1:]) * d
-        out[1:, :-1] += s * np.outer(dn[1:], up[:-1]) * d
-        out[1:, 1:] += c * np.outer(dn[1:], dn[1:]) * d
-        d = out
+    j = twoj / 2.0
+    cp = _ladder_coeffs(j)
+    jx = np.diag(0.5 * cp[1:], 1)
+    v = np.linalg.eigh(jx, UPLO="U")[1][:, ::-1]  # eigenvalues descending
+    del jx  # before the sign pass allocates A v
+    av = -m_values(j)[:, None] * v  # A v, column by column
+    av[:-1] += 0.5 * cp[1:, None] * v[1:]
+    av[1:] -= 0.5 * cp[1:, None] * v[:-1]
+    overlaps = np.einsum("ki,ki->i", v[:, :-1], av[:, 1:])
+    signs = np.cumprod(np.concatenate(([np.sign(v[:, 0].sum())], np.sign(overlaps))))
+    d = v * signs
     d.setflags(write=False)
     return d
 
@@ -115,8 +114,9 @@ def wigner_d(j, theta: float) -> np.ndarray:
 
     Rows and columns are indexed by descending m', m.  The matrix is real
     orthogonal.  It is the one product d^(j)(theta) = Re[U^dagger
-    exp(-i theta J_z) U] with the frame basis U of ``_frame_basis``: the
-    recursion builds only d^(j)(pi/2), cached per j.
+    exp(-i theta J_z) U] with the frame basis U of ``_frame_basis``, whose
+    d^(j)(pi/2) holds the J_x eigenvectors, signed by the ladder rule of
+    ``_wigner_d_half_pi``.
     """
     jf = _as_j(j)
     u = _frame_basis(jf)

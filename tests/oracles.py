@@ -2,8 +2,10 @@
 
 Nothing here shares code with the production package: rotation matrices come
 from the explicit one-sum formula or dense eigendecomposition-based matrix
-exponentials, and map Jacobians from complex-step differentiation of the
-update equations, so agreement with the package is a genuine cross-check.
+exponentials, map Jacobians from complex-step differentiation of the
+update equations, and the classical L_z marginal from a sorted search over the
+bin edges, so agreement with the package is a genuine cross-check.  The one
+exception, ``ensemble_states``, only gathers an ensemble's own chunks.
 """
 
 import math
@@ -237,3 +239,26 @@ def fd_jacobian(f, x, h=1e-6, wrap_cols=(), richardson=False):
         coarse = fd_jacobian(f, x, h=2 * h, wrap_cols=wrap_cols)
         jac = (4.0 * jac - coarse) / 3.0
     return jac
+
+
+# ---------------------------------------------------------------------------
+# classical ensembles
+
+
+def ensemble_states(ens):
+    """All initial conditions of an ensemble as an (n_traj, 6) array."""
+    return np.concatenate([chunk.T for chunk in ens.iter_chunks()], axis=0)
+
+
+def marginal_pz_classical(states, l):
+    """L_z marginal of (n, 6) unit spin pairs in 2l+1 unit bins, descending m_l.
+
+    L_z = sqrt(l(l+1)) Lz~ is located among the bin edges m + 1/2 by a sorted
+    search, so values in the sliver |L_z| in (l, sqrt(l(l+1))] fall into the
+    end bins.
+    """
+    dim = int(round(2 * l)) + 1
+    lz = math.sqrt(l * (l + 1.0)) * np.asarray(states)[..., 5].reshape(-1)
+    edges = np.arange(dim - 1) + (0.5 - l)  # ascending m + 1/2
+    counts = np.bincount(dim - 1 - np.searchsorted(edges, lz), minlength=dim)
+    return counts / counts.sum()

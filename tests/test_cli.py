@@ -7,6 +7,8 @@ import pytest
 
 from spinchaos import classical, cli, correspondence, liouville, quantum
 
+from oracles import ensemble_states, marginal_pz_classical
+
 
 def run_cli(args, **kwargs):
     return subprocess.run(
@@ -371,11 +373,11 @@ def test_ensemble_mode_dumps_pz_from_the_one_propagation(monkeypatch, tmp_path):
     conv = cli.params_convert(s=10, l=11, gamma=1.215)
     p = classical.ClassicalParams(5.0, conv["gamma"], conv["r"])
     ens = liouville.build_ensemble(10, 11, *np.deg2rad([45, 70, 135, 70]), n_traj=3000, seed=3)
-    states = ens.states
+    states = ensemble_states(ens)
     for _ in range(4):
         states = classical.map_step(states, p)
     pz = np.genfromtxt(tmp_path / "pz_final.csv", delimiter=",", names=True)
-    assert np.array_equal(pz["P"], liouville.marginal_pz_classical(states, 11))
+    assert np.array_equal(pz["P"], marginal_pz_classical(states, 11))
 
 
 def test_break_scaling_mode_small(tmp_path):

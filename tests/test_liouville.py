@@ -9,6 +9,8 @@ from spinchaos import classical as cl
 from spinchaos import liouville as lv
 from spinchaos import quantum as q
 
+from oracles import ensemble_states, marginal_pz_classical
+
 
 def _quad_moments(sigma2):
     """Quadrature oracle for the matched density: <z>, <z^2> on the sphere."""
@@ -149,11 +151,11 @@ def _small_ensemble(n=4000, seed=7, l=22, s=20):
 
 def test_ensemble_states_on_sphere_and_reproducible():
     ens = _small_ensemble()
-    st = ens.states
+    st = ensemble_states(ens)
     assert st.shape == (4000, 6)
     assert np.max(np.abs(np.linalg.norm(st[:, :3], axis=1) - 1.0)) < 1e-12
     assert np.max(np.abs(np.linalg.norm(st[:, 3:], axis=1) - 1.0)) < 1e-12
-    assert np.array_equal(st, _small_ensemble().states)
+    assert np.array_equal(st, ensemble_states(_small_ensemble()))
 
 
 def test_ensemble_evolve_matches_direct_propagation(monkeypatch):
@@ -166,14 +168,14 @@ def test_ensemble_evolve_matches_direct_propagation(monkeypatch):
         ens = _small_ensemble(n=700)
         assert sum(1 for _ in ens.iter_chunks()) == math.ceil(700 / chunk)
         series = lv.ensemble_evolve(ens, p, 5)
-        states = ens.states
+        states = ensemble_states(ens)
         for n in range(6):
             lmean = states[:, 3:].mean(axis=0)
             assert np.max(np.abs(series.l_tilde_mean[n] - lmean)) < 1e-13
             assert abs(series.var_norm_l[n] - (1.0 - lmean @ lmean)) < 1e-13
             if n < 5:
                 states = cl.map_step(states, p)
-        assert np.array_equal(series.pz_final, lv.marginal_pz_classical(states, 22))
+        assert np.array_equal(series.pz_final, marginal_pz_classical(states, 22))
 
 
 def test_ensemble_evolve_deterministic():
@@ -264,7 +266,7 @@ def test_global_chaos_relaxes_to_microcanonical():
 
 def test_marginal_concentrated_at_pole():
     states = np.tile([0.0, 0.0, 1.0, 0.0, 0.0, 1.0], (100, 1))
-    p = lv.marginal_pz_classical(states, l=9)
+    p = marginal_pz_classical(states, l=9)
     assert p[0] == 1.0  # descending order: first bin is m_l = +l (clamped sliver)
     assert abs(p.sum() - 1.0) < 1e-15
 
@@ -274,7 +276,7 @@ def test_marginal_initial_matches_quantum():
     ens = lv.build_ensemble(
         140, l, *np.deg2rad([45.0, 70.0, 135.0, 70.0]), n_traj=400_000, seed=5
     )
-    pc = lv.marginal_pz_classical(ens.states, l)
+    pc = marginal_pz_classical(ensemble_states(ens), l)
     pq = q.marginal_pz(
         q.product_state(
             140,
@@ -301,12 +303,12 @@ def test_marginal_clamps_sliver_beyond_l():
     # equilibrium states put |L_z| in (l, sqrt(l(l+1))] with small probability
     l = 22
     ens = _small_ensemble(n=50_000, seed=23)
-    states = ens.states
+    states = ensemble_states(ens)
     for _ in range(20):
         states = cl.map_step(states, cl.ClassicalParams(5.0, 2.835, 1.1))
     lz = math.sqrt(l * (l + 1)) * states[:, 5]
     assert np.any(np.abs(lz) > l), "expected some mass in the clamped sliver"
-    p = lv.marginal_pz_classical(states, l)
+    p = marginal_pz_classical(states, l)
     assert abs(p.sum() - 1.0) < 1e-15
     assert p.shape == (2 * l + 1,)
 

@@ -1,3 +1,8 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -64,6 +69,62 @@ def test_wigner_d_orthogonality_large_j(j):
         d = q.wigner_d(j, theta)
         defect = np.max(np.abs(d @ d.T - np.eye(d.shape[0])))
         assert defect < 1e-10, f"j={j} theta={theta}: {defect}"
+
+
+@pytest.mark.parametrize("j", [0, 0.5, 1, 3, 37.5, 140, 154, 220])
+def test_wigner_d_half_pi_ladder_sign_rule(j):
+    # the columns are the J_x eigenvectors, with the signs the ladder rule fixes
+    twoj = round(2 * j)
+    d = q._wigner_d_half_pi(twoj)
+    m = np.diag(jz_matrix(j))
+    assert np.max(np.abs(d.T @ jx_matrix(j) @ d - np.diag(m))) < 1e-12
+    # column m = j is 2^-j sqrt(binom(2j, j+m')) >= 0; its edge entries (1e-66
+    # at j = 220) carry LAPACK's absolute rounding of ~1e-17, of either sign
+    anchor = [math.sqrt(math.comb(twoj, k) / 2**twoj) for k in range(twoj + 1)]
+    assert np.max(np.abs(d[:, 0] - anchor)) < 1e-14
+    assert np.all(d[:, 0] > -1e-15)
+    jp = ladder_plus(j)
+    a = -jz_matrix(j) + (jp - jp.T) / 2.0
+    overlaps = np.einsum("ki,ki->i", d[:, :-1], a @ d[:, 1:])
+    assert np.max(np.abs(overlaps - np.diag(jp, 1)), initial=0.0) < 1e-10
+    if j == 0:
+        assert np.array_equal(d, [[1.0]])
+
+
+_HALF_PI_BUILD = (
+    "import sys\n"
+    "import numpy as np\n"
+    "from spinchaos import quantum as q\n"
+    "np.savez(sys.argv[1], *(q._wigner_d_half_pi(n) for n in (75, 440)))\n"
+)
+
+
+def _half_pi_build(path, threads):
+    """d(pi/2) at j = 37.5 and 220, built in a fresh process with the given BLAS threads."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    res = subprocess.run(
+        [sys.executable, "-c", _HALF_PI_BUILD, str(path)], env=env, capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    with np.load(path) as built:
+        return [built[k] for k in sorted(built.files)]
+
+
+def test_wigner_d_half_pi_replays_under_each_blas_setting(tmp_path):
+    # LAPACK builds d(pi/2): with one BLAS thread and with the thread count
+    # unset, a second build repeats the first byte for byte; across the two
+    # settings the builds may differ in their last bits only
+    builds = {}
+    for threads in ("1", None):
+        first, second = (_half_pi_build(tmp_path / f"{threads}{k}.npz", threads) for k in "ab")
+        for x, y in zip(first, second):
+            assert x.tobytes() == y.tobytes()
+        builds[threads] = first
+    for x, y in zip(builds["1"], builds[None]):
+        assert np.max(np.abs(x - y)) < 1e-14
 
 
 def test_wigner_d_rejects_invalid_j():

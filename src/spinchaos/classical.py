@@ -14,12 +14,12 @@ Canonical coordinates are the normalized chart ``(Sz, phi_s, Lz, phi_l)``
 with ``Sz, Lz`` in [-1, 1]; the invariant measure is uniform in these four
 variables.
 
-This module owns the package's one worker pool, ``_in_order``: batched Lyapunov
-exponents and ``liouville``'s ensemble tiles run on it in blocks, and their
-results do not depend on the worker count.  One Lyapunov trajectory steps as
-Python floats through the same kernels with ``math``'s cos, sin and sqrt, bit for
-bit a batch of one where numpy's ones call libm (checked: numpy 2.4.6, glibc 2.36,
-x86-64 AVX-512); its log stays ``np.log``, which ``math.log`` does not match.
+This module owns the package's one pool of forked workers, ``_in_order``: batched
+Lyapunov exponents and ``liouville``'s ensemble tiles run on it in blocks, and
+their results do not depend on the worker count.  One Lyapunov trajectory steps
+as Python floats through the same kernels with ``math``'s cos, sin and sqrt, bit
+for bit a batch of one where numpy's ones call libm (checked: numpy 2.4.6, glibc
+2.36, x86-64 AVX-512); its log stays ``np.log``, which ``math.log`` does not match.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ __all__ = [
     "regime_scan",
 ]
 
-_WORKERS = min(2, len(os.sched_getaffinity(0)))  # threads that run batch blocks
+_WORKERS = min(2, len(os.sched_getaffinity(0)))  # processes that run batch blocks
 
 PARALLEL = "parallel"
 ANTIPARALLEL = "antiparallel"
@@ -72,18 +72,47 @@ class ClassicalParams:
 
 
 def _in_order(fn, blocks):
-    """Yield ``fn(b)`` per block in order, each once ready (a caller folding them
-    holds few), on up to ``_WORKERS`` threads; inline for one.  Workers call only
-    private names: a tracer of public calls keeps one stack.
+    """``[fn(b) for b in blocks]`` on up to ``_WORKERS`` processes; inline for one.
+
+    Block i runs in process i % workers, the caller taking share 0.  A forked
+    child reads its blocks copy-on-write, pipes back its pickled results or
+    exception and ends in ``os._exit``, so no caller code (a tracer, pytest) runs
+    in it; it dies with the caller.  Workers call only private names.
     """
     workers = min(_WORKERS, len(blocks))
     if workers < 2:
-        yield from map(fn, blocks)
-        return
-    from concurrent.futures import ThreadPoolExecutor
+        return list(map(fn, blocks))
+    import ctypes, pickle, signal
 
-    with ThreadPoolExecutor(workers) as pool:
-        yield from pool.map(fn, blocks)
+    parent, kids, results = os.getpid(), [], [None] * len(blocks)
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    ctypes.CDLL(None).prctl(1, ctypes.c_ulong(signal.SIGKILL))  # PR_SET_PDEATHSIG
+                    if os.getppid() == parent:  # else the caller died before the prctl
+                        with open(w, "wb") as f:
+                            try:
+                                out = [fn(b) for b in blocks[k::workers]]
+                            except BaseException as e:  # re-raised in the caller
+                                out = e
+                            pickle.dump(out, f)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            kids.append((pid, open(r, "rb")))
+        results[::workers] = map(fn, blocks[::workers])
+        for k, (pid, f) in enumerate(kids, 1):
+            if isinstance(out := pickle.load(f), BaseException):
+                raise out
+            results[k::workers] = out
+        return results
+    finally:
+        for pid, f in kids:
+            os.kill(pid, signal.SIGKILL)  # no-op for a child that is done; ends one still running
+            f.close()
+            os.waitpid(pid, 0)
 
 
 def _split(x):
@@ -327,7 +356,7 @@ def lyapunov_exponent(
     single = x0.ndim == 1
     blocks = [x0] if single else np.array_split(x0, max(1, min(_WORKERS, len(x0))))
     try:
-        lam = np.hstack([*_in_order(lambda b: _lyapunov_marks(b, p, marks, renorm_every), blocks)])
+        lam = np.hstack(_in_order(lambda b: _lyapunov_marks(b, p, marks, renorm_every), blocks))
     except (ValueError, ZeroDivisionError) as e:  # math's 0/0 or cos(inf) on one state
         if not single:
             raise

@@ -22,9 +22,9 @@ version, timestamps, seed).  Modes that evolve a quantum state add a
 ``[health]`` section with the largest norm drift of a kick, and modes that
 evolve, scan or take exponents add a ``[timings]`` section: wall seconds of the
 quantum build (Floquet operator and coherent states), quantum evolution, ensemble
-propagation, Lyapunov exponents and the whole run, and the thread count of the
-pool that ensemble tiles and batched exponents share.  Data CSVs contain no
-timestamps: reruns with an identical config and seed reproduce them bytewise.
+propagation, Lyapunov exponents and the whole run, and the process count of
+the pool that ensemble tiles and batched exponents share.  Data CSVs contain
+no timestamps: reruns with an identical config and seed reproduce them bytewise.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical error.
 """
@@ -526,6 +526,7 @@ def _run_break_scaling(cfg: dict, outdir: Path) -> dict:
             fits_rows.append((l, direct.lam, direct.window[0], direct.window[1], direct.residual))
         except ValueError as exc:
             dropped.append(f"direct fit at l={l:g} left out of fits.csv: {exc}")
+        del qs, cs, d  # before the next l's draw and state
     cols = list(zip(*rows))
     write_csv(
         outdir / "breaktimes.csv",

@@ -18,8 +18,8 @@ Ensembles are propagated with the stroboscopic map.  Trajectories are drawn
 in fixed-size chunks, one after another, from one master-seeded generator,
 which keeps memory bounded and the Monte Carlo stream a function of
 (seed, n_traj) alone.  Each chunk is cut into fixed tiles that run every kick
-on the worker pool that ``classical`` owns; the per-tile moment sums are added
-in tile order, so results depend on the tile size and never on the worker count.
+on the forked worker processes that ``classical`` owns; the per-tile moment sums
+are added in tile order, so results depend on the tile size, never the worker count.
 """
 
 from __future__ import annotations
@@ -236,7 +236,7 @@ def ensemble_evolve(ens: Ensemble, p: ClassicalParams, n_kicks: int) -> MomentSe
     """Propagate every trajectory and record moments at kicks 0..n_kicks.
 
     Each chunk is cut into tiles of ``_TILE`` trajectories, and each tile runs
-    all kicks on one thread of the ``classical`` pool, recording raw moment sums per
+    all kicks in one process of the ``classical`` pool, recording raw moment sums per
     kick and binning its L_z after the last kick with ``_pz_counts``.  The tile
     sums are added in tile order, so results depend on the tile size but not on
     the worker count, and are byte-identical across runs with the same (seed, n_traj).

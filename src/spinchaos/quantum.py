@@ -129,8 +129,8 @@ def coherent_state(j, theta: float, phi: float) -> np.ndarray:
     The state is maximally polarized along (theta, phi):
     <J_z> = j cos(theta) and <J_x + i J_y> = j e^{i phi} sin(theta).
     """
-    jf = _as_j(j)
-    return np.exp(-1j * phi * m_values(jf)) * wigner_d(jf, theta)[:, 0]
+    u, m = _frame_basis(_as_j(j)), m_values(j)  # column 0 of wigner_d: one product with U[:, 0]
+    return np.exp(-1j * phi * m) * ((u.conj().T * np.exp(-1j * theta * m)) @ u[:, 0]).real
 
 
 # ---------------------------------------------------------------------------

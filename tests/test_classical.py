@@ -1,4 +1,7 @@
-import concurrent.futures
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -340,23 +343,101 @@ def test_regime_scan_independent_of_worker_count(monkeypatch):
     assert np.array_equal(runs[0].points, runs[1].points)
 
 
-def test_lyapunov_starts_a_thread_only_for_two_or_more_states(monkeypatch):
-    pools = []
-    real_pool = concurrent.futures.ThreadPoolExecutor
+def test_lyapunov_forks_only_for_two_or_more_blocks(monkeypatch):
+    forks = []
+    real_fork = os.fork
 
-    def recording_pool(*args, **kwargs):
-        pools.append(args)
-        return real_pool(*args, **kwargs)
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(cl, "_WORKERS", 2)
     cl.lyapunov_exponent(CHAOTIC_IC, MIXED, 50)
     cl.lyapunov_exponent(CHAOTIC_IC, MIXED, 50, checkpoints=[10, 50])
     cl.lyapunov_exponent(CHAOTIC_IC[None], MIXED, 50)
     cl.regime_scan(MIXED, n_samples=1, n_steps=50)
-    assert pools == []
+    assert forks == []
     cl.lyapunov_exponent(np.stack([CHAOTIC_IC, CHAOTIC_IC]), MIXED, 50)
-    assert pools == [(2,)]
+    assert len(forks) == 1
+
+
+def _fail_in(raising, wait_s):
+    """A block function that raises in block ``raising`` and sleeps ``wait_s`` in the others."""
+    def fn(b):
+        if b == raising:
+            raise ValueError(f"block {b} failed")
+        time.sleep(wait_s)
+        return b
+
+    return fn
+
+
+@pytest.mark.parametrize("raising", [1, 0], ids=["child", "caller"])
+def test_pool_exception_reaches_caller_and_leaves_no_child(monkeypatch, raising):
+    # block 1 runs in the forked child, block 0 in the caller; a caller that
+    # fails first kills the child, which would otherwise sleep for 30 s
+    monkeypatch.setattr(cl, "_WORKERS", 2)
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match=f"^block {raising} failed$"):
+        cl._in_order(_fail_in(raising, 0.2 if raising else 30.0), [0, 1])
+    assert time.monotonic() - t0 < 10.0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pool_results_in_block_order(monkeypatch):
+    monkeypatch.setattr(cl, "_WORKERS", 2)
+    blocks = [np.full(3, k) for k in range(5)]
+    out = cl._in_order(lambda b: (b * 2, os.getpid()), blocks)
+    assert [list(v) for v, _ in out] == [[2 * k] * 3 for k in range(5)]
+    assert [pid for _, pid in out] == [os.getpid(), out[1][1]] * 2 + [os.getpid()]
+    assert out[1][1] != os.getpid()
+
+
+_ORPHAN = """
+import os, sys, time
+from spinchaos import classical as cl
+
+def fn(b):
+    if b:
+        with open(sys.argv[1] + ".tmp", "w") as f:
+            f.write(str(os.getpid()))
+        os.rename(sys.argv[1] + ".tmp", sys.argv[1])
+    time.sleep(30)
+
+cl._WORKERS = 2
+cl._in_order(fn, [0, 1])
+"""
+
+
+def _gone_or_zombie(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def test_pool_child_dies_with_a_killed_caller(tmp_path):
+    pid_file = tmp_path / "child.pid"
+    caller = subprocess.Popen([sys.executable, "-c", _ORPHAN, str(pid_file)])
+    try:
+        deadline = time.monotonic() + 30.0
+        while not pid_file.exists():
+            assert caller.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        child = int(pid_file.read_text())
+        assert not _gone_or_zombie(child)
+    finally:
+        caller.kill()
+        caller.wait()
+    deadline = time.monotonic() + 5.0
+    while not _gone_or_zombie(child) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _gone_or_zombie(child)
 
 
 def test_regime_scan_integrable_limit():

@@ -338,6 +338,20 @@ def test_compare_manifest_records_quantum_norm_drift(tmp_path):
         assert "norm_drift" not in (tmp_path / name).read_text()
 
 
+@pytest.mark.parametrize("mode, sets", [
+    ("regime-scan", ["a=5", "gamma=1.215", "r=1.1", "n_samples=41", "scan_steps=300"]),
+    ("ensemble", [*COMPARE_ARGS, "n_kicks=5", "n_traj=40000", "dump_pz=1"]),
+])
+def test_data_files_independent_of_worker_count(monkeypatch, tmp_path, mode, sets):
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(classical, "_WORKERS", workers)
+        out = tmp_path / str(workers)
+        assert cli.run(mode, cli.parse_config(None, [f"outdir={out}", *sets])) == 0
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.txt"})
+    assert len(outputs[0]) >= 2 and outputs[0] == outputs[1]
+
+
 def test_ensemble_mode_seed_changes_output(tmp_path):
     base = ["ensemble", "--set", "a=5", "--set", "gamma=1.215", "--set", "s=10",
             "--set", "l=11", "--set", "theta_s=45", "--set", "phi_s=70",
@@ -360,6 +374,7 @@ def test_ensemble_mode_dumps_pz_from_the_one_propagation(monkeypatch, tmp_path):
 
     monkeypatch.setattr(liouville, "_map_cols", counting_map)
     monkeypatch.setattr(liouville, "_TILE", 512)
+    monkeypatch.setattr(classical, "_WORKERS", 1)  # a forked worker's calls would go uncounted
     cfg = cli.parse_config(
         None,
         [f"outdir={tmp_path}", "a=5", "gamma=1.215", "s=10", "l=11", "theta_s=45",

@@ -1,6 +1,10 @@
 import inspect
+import json
 import math
-import threading
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from spinchaos import liouville as lv
 from spinchaos import quantum as q
 
 from oracles import ensemble_states, marginal_pz_classical
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _quad_moments(sigma2):
@@ -198,15 +204,56 @@ def test_ensemble_evolve_independent_of_worker_count(monkeypatch):
         assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name)), name
 
 
-def test_ensemble_workers_call_no_public_function(monkeypatch):
-    # A span tracer wraps every public function and keeps its spans on one
-    # stack, so a public call from a worker thread would corrupt that stack.
-    # Both users of the worker pool run here: the ensemble and the regime scan.
-    callers = []
+_TRACED = """
+import sys
+sys.path.insert(0, "perfbench")
+import trace_cli
+trace_cli.classical._WORKERS = int(sys.argv[1])
+sys.exit(trace_cli.main(sys.argv[2:]))
+"""
 
-    def recording(fn):
+
+def _traced_spans(workers, mode, sets, outdir):
+    """(layer, name, parent index, work) of every span of a traced CLI run."""
+    spans_path = outdir / "spans.json"
+    argv = [sys.executable, "-c", _TRACED, str(workers), str(spans_path), mode,
+            "--set", f"outdir={outdir}"]
+    for item in sets:
+        argv += ["--set", item]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    res = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return [(s["layer"], s["name"], s["parent"], s["work"]) for s in json.loads(spans_path.read_text())]
+
+
+_POOL_RUNS = {  # mode -> (overrides, a public function whose blocks run on the pool)
+    "regime-scan": (["a=5", "gamma=1.215", "r=1.1", "n_samples=9", "scan_steps=20"],
+                    "lyapunov_exponent"),
+    "ensemble": (["a=5", "gamma=1.215", "s=10", "l=11", "theta_s=45", "phi_s=70", "theta_l=135",
+                  "phi_l=70", "n_kicks=6", "n_traj=40000"], "ensemble_evolve"),
+}
+
+
+def test_traced_spans_independent_of_worker_count(tmp_path):
+    # A span tracer wraps every public function, in the caller only: the spans
+    # of a traced run must not depend on how many worker processes it forks.
+    for mode, (sets, caller) in _POOL_RUNS.items():
+        runs = [_traced_spans(w, mode, sets, tmp_path / f"{mode}{w}") for w in (1, 2)]
+        assert runs[0] == runs[1], mode
+        assert caller in {name for _, name, _, _ in runs[0]}
+
+
+def test_ensemble_workers_call_no_public_function(monkeypatch, tmp_path):
+    # A public call from a forked worker would escape a span tracer, which runs
+    # in the caller only.  Each call appends its name and process id to a file,
+    # which the workers share.  Both users of the pool run here.
+    log = tmp_path / "calls.txt"
+
+    def recording(fn, name):
         def wrapper(*args, **kwargs):
-            callers.append((fn.__name__, threading.get_ident()))
+            with open(log, "a") as f:
+                f.write(f"{name} {os.getpid()}\n")
             return fn(*args, **kwargs)
 
         return wrapper
@@ -215,31 +262,25 @@ def test_ensemble_workers_call_no_public_function(monkeypatch):
         for name in module.__all__:
             fn = getattr(module, name)
             if inspect.isfunction(fn):
-                monkeypatch.setattr(module, name, recording(fn))
+                monkeypatch.setattr(module, name, recording(fn, name))
+    monkeypatch.setattr(lv, "_tile_sums", recording(lv._tile_sums, "block:_tile_sums"))
+    monkeypatch.setattr(cl, "_lyapunov_marks", recording(cl._lyapunov_marks, "block:_lyapunov_marks"))
     monkeypatch.setattr(lv, "_TILE", 64)
     monkeypatch.setattr(cl, "_WORKERS", 2)
-    block_threads = {}  # the private kernel each caller runs per block -> thread ids
-
-    def record_threads(module, name):
-        fn = getattr(module, name)
-
-        def wrapper(*args):
-            block_threads.setdefault(name, set()).add(threading.get_ident())
-            return fn(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    record_threads(lv, "_tile_sums")
-    record_threads(cl, "_lyapunov_marks")
     p = cl.ClassicalParams(5.0, 2.835, 1.1)
     lv.ensemble_evolve(_small_ensemble(n=1000), p, 6)
     cl.regime_scan(p, n_samples=9, n_steps=20)
-    main = threading.get_ident()
-    assert ("ensemble_evolve", main) in callers
-    assert ("regime_scan", main) in callers and ("lyapunov_exponent", main) in callers
-    assert all(idents - {main} for idents in block_threads.values()), block_threads
-    assert sorted(block_threads) == ["_lyapunov_marks", "_tile_sums"]
-    assert all(ident == main for _, ident in callers), callers
+    calls = [line.split() for line in log.read_text().splitlines()]
+    main = str(os.getpid())
+    public = {(name, pid) for name, pid in calls if not name.startswith("block:")}
+    assert {("ensemble_evolve", main), ("regime_scan", main), ("lyapunov_exponent", main)} <= public
+    assert all(pid == main for _, pid in public), public
+    blocks = {}  # the private kernel each caller runs per block -> process ids
+    for name, pid in calls:
+        if name.startswith("block:"):
+            blocks.setdefault(name, set()).add(pid)
+    assert sorted(blocks) == ["block:_lyapunov_marks", "block:_tile_sums"]
+    assert all(len(pids) == 2 and main in pids for pids in blocks.values()), blocks
 
 
 def test_ensemble_evolve_decoupled_keeps_lz():

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -222,11 +223,18 @@ def _moments_from_sums(sums, n):
 
 
 def _tile_sums(cols, p: ClassicalParams, n_kicks: int, l: float):
-    """Run every kick on one tile; its (K, 2, 9) raw sums and final L_z counts."""
+    """Run every kick on one tile; its (K, 2, 9) raw sums and final L_z counts.
+
+    The products are summed by ``einsum``'s own loops, not BLAS: a threaded BLAS
+    dot in each forked worker would oversubscribe the cores, and its sums would
+    depend on the BLAS thread count.
+    """
     sums = np.empty((n_kicks + 1, 2, 9))
+    dot = partial(np.einsum, "i,i")
     for n in range(n_kicks + 1):
         for spin, (x, y, z) in enumerate((cols[:3], cols[3:])):
-            sums[n, spin] = (x.sum(), y.sum(), z.sum(), x @ x, y @ y, z @ z, x @ y, x @ z, y @ z)
+            sums[n, spin] = (x.sum(), y.sum(), z.sum(), dot(x, x), dot(y, y), dot(z, z),
+                             dot(x, y), dot(x, z), dot(y, z))
         if n < n_kicks:
             cols = _map_cols(*cols, p)
     return sums, _pz_counts(cols[5], l)

@@ -204,6 +204,39 @@ def test_ensemble_evolve_independent_of_worker_count(monkeypatch):
         assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name)), name
 
 
+_EVOLVE = """
+import sys
+import numpy as np
+from spinchaos import classical as cl, liouville as lv
+cl._WORKERS = 2
+ang = np.deg2rad([45.0, 70.0, 135.0, 70.0])
+ens = lv.build_ensemble(20, 22, *ang, n_traj=2 * lv._TILE, seed=7)
+series = lv.ensemble_evolve(ens, cl.ClassicalParams(5.0, 2.835, 1.1), 40)
+np.savez(sys.argv[1], *(getattr(series, k) for k in ("s_tilde_mean", "l_tilde_se", "var_norm_l")))
+"""
+
+
+def test_ensemble_evolve_independent_of_blas_threads(tmp_path):
+    # Two full tiles on two forked workers, with one BLAS thread and with the
+    # count unset: a threaded BLAS call in a worker would oversubscribe the
+    # cores (a multi-minute stall on two cores) and move the sums' last bits
+    runs = []
+    for threads in ("1", None):
+        env = dict(os.environ)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        path = tmp_path / f"{threads}.npz"
+        res = subprocess.run([sys.executable, "-c", _EVOLVE, str(path)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        with np.load(path) as saved:
+            runs.append([saved[k] for k in sorted(saved.files)])
+    for x, y in zip(*runs):
+        assert x.tobytes() == y.tobytes()
+
+
 _TRACED = """
 import sys
 sys.path.insert(0, "perfbench")

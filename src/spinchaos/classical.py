@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +61,8 @@ class ClassicalParams:
     a: float
     gamma: float
     r: float = 1.0
+    cos_a: float = field(init=False, repr=False, compare=False)  # cos(a), sin(a): set once below
+    sin_a: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.a < 2.0 * np.pi:
@@ -69,6 +71,8 @@ class ClassicalParams:
             raise ValueError(f"magnitude ratio r={self.r} must be >= 1")
         if not np.isfinite(self.gamma):
             raise ValueError("coupling gamma must be finite")
+        object.__setattr__(self, "cos_a", math.cos(self.a))
+        object.__setattr__(self, "sin_a", math.sin(self.a))
 
 
 def _in_order(fn, blocks):
@@ -77,7 +81,8 @@ def _in_order(fn, blocks):
     Block i runs in process i % workers, the caller taking share 0.  A forked
     child reads its blocks copy-on-write, pipes back its pickled results or
     exception and ends in ``os._exit``, so no caller code (a tracer, pytest) runs
-    in it; it dies with the caller.  Workers call only private names.
+    in it; it dies with the caller.  Workers call only private names.  A child that
+    ends without a result (killed, or its exception unpicklable) is named in a ``RuntimeError``.
     """
     workers = min(_WORKERS, len(blocks))
     if workers < 2:
@@ -89,6 +94,7 @@ def _in_order(fn, blocks):
         for k in range(1, workers):
             r, w = os.pipe()
             if (pid := os.fork()) == 0:
+                code = 1  # until the result is written
                 try:
                     ctypes.CDLL(None).prctl(1, ctypes.c_ulong(signal.SIGKILL))  # PR_SET_PDEATHSIG
                     if os.getppid() == parent:  # else the caller died before the prctl
@@ -98,13 +104,22 @@ def _in_order(fn, blocks):
                             except BaseException as e:  # re-raised in the caller
                                 out = e
                             pickle.dump(out, f)
+                        code = 0
                 finally:
-                    os._exit(0)
+                    os._exit(code)
             os.close(w)
             kids.append((pid, open(r, "rb")))
         results[::workers] = map(fn, blocks[::workers])
         for k, (pid, f) in enumerate(kids, 1):
-            if isinstance(out := pickle.load(f), BaseException):
+            try:
+                out = pickle.load(f)
+            except (EOFError, pickle.UnpicklingError) as e:
+                kids.remove((pid, f))  # reaped here, not again below
+                f.close()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                how = f"exit status {code}" if code >= 0 else f"signal {signal.Signals(-code).name}"
+                raise RuntimeError(f"pool worker {k} (pid {pid}) gave no result: {how}") from e
+            if isinstance(out, BaseException):
                 raise out
             results[k::workers] = out
         return results
@@ -146,7 +161,7 @@ def _map_cols(sx, sy, sz, lx, ly, lz, p: ClassicalParams, renormalize=True, rot=
     if rot is None:
         rot = _x_rotations(sx, sy, sz, lx, ly, lz, p, xp)
     syr, szr, lyr, lzr = rot[4:]
-    ca, sa = xp.cos(p.a), xp.sin(p.a)
+    ca, sa = p.cos_a, p.sin_a
     nsx = sx * ca - syr * sa
     nsy = syr * ca + sx * sa
     nlx = lx * ca - lyr * sa
@@ -218,14 +233,14 @@ def canonical_to_state(c):
 # tangent dynamics
 
 
-def _tangent_apply_cols(rot, v_cols, p: ClassicalParams, xp=np):
+def _tangent_apply_cols(rot, v_cols, p: ClassicalParams):
     """Apply the tangent map to displacement columns, no 6x6 build.
 
     ``rot`` is the :func:`_x_rotations` of the state the map is linearized at.
     """
     cal, sal, cbe, sbe, syr, szr, lyr, lzr = rot
     dsx, dsy, dsz, dlx, dly, dlz = v_cols
-    ca, sa = xp.cos(p.a), xp.sin(p.a)
+    ca, sa = p.cos_a, p.sin_a
     gr = p.gamma * p.r
 
     dsyr = dsy * cal - dsz * sal - gr * szr * dlx
@@ -380,7 +395,7 @@ def _lyapunov_marks(x0, p: ClassicalParams, marks, renorm_every: int):
     since_renorm = 0
     for step in range(1, marks[-1] + 1):
         rot = _x_rotations(*state, p, xp)
-        v = _tangent_apply_cols(rot, v, p, xp)
+        v = _tangent_apply_cols(rot, v, p)
         state = _map_cols(*state, p, rot=rot, xp=xp)
         since_renorm += 1
         # the 1-norm left to right: on floats, sum() compensates from Python 3.12

@@ -8,7 +8,7 @@ lyapunov       largest Lyapunov exponent of one IC       -> lyapunov.csv
 regime-scan    chaotic fraction over sampled ICs         -> scan.csv
 ensemble       Monte Carlo Liouville moments             -> cmoments.csv
 compare        quantum vs ensemble + difference + fits   -> qmoments/cmoments/delta.csv, summary.txt
-break-scaling  break-times across an l sweep + fit       -> breaktimes.csv, summary.txt
+break-scaling  break-times across an l sweep + fits      -> breaktimes/fits.csv, summary.txt
 appendix-check sphere-moment obstruction closed forms    -> appendix.csv, summary.txt
 
 Configuration is a flat ``key = value`` text file ('#' comments); any key can
@@ -17,13 +17,13 @@ angles are given in degrees; the rotation parameter ``a`` is in radians.
 Exactly one coupling parameterization may be given: quantum ``c`` or scaled
 ``gamma`` (they convert via gamma = c sqrt(s(s+1))).
 
-Every run writes ``manifest.txt`` (config echo, derived parameters, code
-version, timestamps, seed).  Modes that evolve a quantum state add a
-``[health]`` section with the largest norm drift of a kick, and modes that
-evolve, scan or take exponents add a ``[timings]`` section: wall seconds of the
-quantum build (Floquet operator and coherent states), quantum evolution, ensemble
-propagation, Lyapunov exponents and the whole run, and the process count of
-the pool that ensemble tiles and batched exponents share.  Data CSVs contain
+Every run writes ``manifest.txt`` (config echo, derived parameters, code version,
+timestamps, seed).  Modes that evolve a quantum state add a ``[health]`` section
+with the largest norm drift of a kick, and modes that evolve, scan or take
+exponents add a ``[timings]`` section: wall seconds of the quantum build (Floquet
+operator and coherent states), quantum evolution, ensemble propagation, Lyapunov
+exponents and the whole run, and the shared pool's process count.  Both come from
+one record per ``run`` call, so runs in one process share nothing.  Data CSVs hold
 no timestamps: reruns with an identical config and seed reproduce them bytewise.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical error.
@@ -37,6 +37,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -221,23 +222,31 @@ def _angles(cfg: dict, mode: str) -> np.ndarray:
 # artifacts
 
 
-# wall seconds per evolution stage of the current run, summed over an l sweep,
-# and numerical-health figures, maximized over it
-_stage_s: dict[str, float] = {}
-_health: dict[str, float] = {}
+@dataclass
+class _Run:
+    """Per-run record from ``run()``: output directory, stage seconds, health figures.
+
+    Stage seconds sum over an l sweep, health figures keep their largest; scalars only.
+    """
+
+    outdir: Path
+    stage_s: dict[str, float] = field(default_factory=dict)
+    health: dict[str, float] = field(default_factory=dict)
+
+    @contextmanager
+    def timed(self, stage: str):
+        """Add the wall time of the ``with`` block to ``stage``."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stage_s[stage] = self.stage_s.get(stage, 0.0) + time.perf_counter() - t0
+
+    def summary(self, *lines: str) -> None:
+        (self.outdir / "summary.txt").write_text("\n".join(lines) + "\n")
 
 
-@contextmanager
-def _timed(stage: str):
-    """Add the wall time of the ``with`` block to ``stage``."""
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        _stage_s[stage] = _stage_s.get(stage, 0.0) + time.perf_counter() - t0
-
-
-def _write_manifest(outdir: Path, mode: str, cfg: dict, derived: dict, run_s: float) -> None:
+def _write_manifest(rec: _Run, mode: str, cfg: dict, derived: dict, run_s: float) -> None:
     lines = [
         f"spinchaos {__version__}",
         f"mode: {mode}",
@@ -250,44 +259,40 @@ def _write_manifest(outdir: Path, mode: str, cfg: dict, derived: dict, run_s: fl
     if derived:
         lines += ["", "[derived]"]
         lines += [f"{key} = {value}" for key, value in derived.items()]
-    if _health:
+    if rec.health:
         lines += ["", "[health]"]
-        lines += [f"{key} = {value:.3e}" for key, value in _health.items()]
-    if _stage_s:
+        lines += [f"{key} = {value:.3e}" for key, value in rec.health.items()]
+    if rec.stage_s:
         stages = ("quantum_build_s", "quantum_evolution_s", "ensemble_propagation_s", "lyapunov_s")
-        lines += ["", "[timings]", *(f"{key} = {_stage_s.get(key, 0.0):.6f}" for key in stages)]
+        lines += ["", "[timings]", *(f"{key} = {rec.stage_s.get(key, 0.0):.6f}" for key in stages)]
         lines += [f"run_s = {run_s:.6f}", f"workers = {classical._WORKERS}"]
-    (outdir / "manifest.txt").write_text("\n".join(lines) + "\n")
+    (rec.outdir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
 def _moment_columns(series) -> dict:
+    """Per-kick moment columns; the SE columns only where the series has them."""
     cols: dict = {"n": np.asarray(series.kicks, dtype=np.int64)}
-    for label, attr in (("S", "s"), ("L", "l")):
-        mag = series.mag_s if attr == "s" else series.mag_l
-        mean = getattr(series, f"{attr}_tilde_mean")
-        for i, comp in enumerate("xyz"):
-            cols[f"{label}{comp}_mean"] = mag * mean[:, i]
-        se = getattr(series, f"{attr}_tilde_se", None)
-        if se is not None:
-            for i, comp in enumerate("xyz"):
-                cols[f"{label}{comp}_se"] = mag * se[:, i]
-        cols[f"{label}var_norm"] = getattr(series, f"var_norm_{attr}")
-        var_se = getattr(series, f"var_norm_{attr}_se", None)
-        if var_se is not None:
-            cols[f"{label}var_norm_se"] = var_se
+    for label, attr, mag in (("S", "s", series.mag_s), ("L", "l", series.mag_l)):
+        for stat in ("mean", "se"):
+            if (vec := getattr(series, f"{attr}_tilde_{stat}", None)) is not None:
+                cols.update({f"{label}{c}_{stat}": mag * vec[:, i] for i, c in enumerate("xyz")})
+        for suffix in ("", "_se"):
+            if (var := getattr(series, f"var_norm_{attr}{suffix}", None)) is not None:
+                cols[f"{label}var_norm{suffix}"] = var
     return cols
 
 
-def _quantum_series(conv: dict, ang: np.ndarray, n_kicks: int):
+def _quantum_series(rec: _Run, conv: dict, ang: np.ndarray, n_kicks: int):
     s, l = conv["s"], conv["l"]
-    with _timed("quantum_build_s"):
+    with rec.timed("quantum_build_s"):
         flo = quantum.build_floquet(s, l, conv["a"], conv["c"])
         vec_s = quantum.coherent_state(s, ang[0], ang[1])
         vec_l = quantum.coherent_state(l, ang[2], ang[3])
         state = quantum.product_state(s, l, vec_s, vec_l)
-    with _timed("quantum_evolution_s"):
+    with rec.timed("quantum_evolution_s"):
         series = quantum.evolve_series(state, flo, n_kicks)
-    _health["quantum_norm_drift"] = max(_health.get("quantum_norm_drift", 0.0), series.norm_drift)
+    drift = rec.health.get("quantum_norm_drift", 0.0)
+    rec.health["quantum_norm_drift"] = max(drift, series.norm_drift)
     return series
 
 
@@ -304,9 +309,9 @@ def _unmap_large_blocks() -> None:
         libc.mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
 
 
-def _ensemble_series(conv: dict, ang: np.ndarray, cfg: dict):
+def _ensemble_series(rec: _Run, conv: dict, ang: np.ndarray, cfg: dict):
     _unmap_large_blocks()
-    with _timed("ensemble_propagation_s"):
+    with rec.timed("ensemble_propagation_s"):
         ens = liouville.build_ensemble(
             conv["s"], conv["l"], *ang, n_traj=cfg["n_traj"], seed=cfg["seed"]
         )
@@ -318,39 +323,37 @@ def _ensemble_series(conv: dict, ang: np.ndarray, cfg: dict):
 # mode runners
 
 
-def _run_quantum(cfg: dict, outdir: Path) -> dict:
+def _run_quantum(cfg: dict, rec: _Run) -> dict:
     conv = _coupling(cfg, "quantum")
     ang = _angles(cfg, "quantum")
-    series = _quantum_series(conv, ang, cfg["n_kicks"])
+    series = _quantum_series(rec, conv, ang, cfg["n_kicks"])
     final = series.final
-    write_csv(outdir / "qmoments.csv", _moment_columns(series))
+    write_csv(rec.outdir / "qmoments.csv", _moment_columns(series))
     if cfg["dump_state"]:
         ms = np.repeat(quantum.m_values(conv["s"]), quantum.dim_of(conv["l"]))
         ml = np.tile(quantum.m_values(conv["l"]), quantum.dim_of(conv["s"]))
         write_csv(
-            outdir / "state_final.csv",
+            rec.outdir / "state_final.csv",
             {"m_s": ms, "m_l": ml, "re": final.amplitudes.real, "im": final.amplitudes.imag},
         )
     if cfg["dump_pz"]:
         write_csv(
-            outdir / "pz_final.csv",
+            rec.outdir / "pz_final.csv",
             {"m_l": quantum.m_values(conv["l"]), "P": quantum.marginal_pz(final)},
         )
     return conv
 
 
-def _run_classical_traj(cfg: dict, outdir: Path) -> dict:
+def _run_classical_traj(cfg: dict, rec: _Run) -> dict:
     p = _classical_params(cfg, "classical-traj")
-    ang = _angles(cfg, "classical-traj")
-    x = classical.angles_to_state(*ang)
+    x = classical.angles_to_state(*_angles(cfg, "classical-traj"))
     n = cfg["n_kicks"]
     traj = np.empty((n + 1, 6))
-    for k in range(n + 1):
-        traj[k] = x
-        if k < n:
-            x = classical.map_step(x, p)
+    traj[0] = x
+    for k in range(1, n + 1):
+        traj[k] = x = classical.map_step(x, p)
     write_csv(
-        outdir / "traj.csv",
+        rec.outdir / "traj.csv",
         {
             "n": np.arange(n + 1),
             **{f"S{c}": traj[:, i] for i, c in enumerate("xyz")},
@@ -360,30 +363,29 @@ def _run_classical_traj(cfg: dict, outdir: Path) -> dict:
     return {"a": p.a, "gamma": p.gamma, "r": p.r}
 
 
-def _run_lyapunov(cfg: dict, outdir: Path) -> dict:
+def _run_lyapunov(cfg: dict, rec: _Run) -> dict:
     p = _classical_params(cfg, "lyapunov")
-    ang = _angles(cfg, "lyapunov")
-    x0 = classical.angles_to_state(*ang)
+    x0 = classical.angles_to_state(*_angles(cfg, "lyapunov"))
     n_steps, every = cfg["n_steps"], cfg["sample_every"]
     checkpoints = list(range(every, n_steps + 1, every))
     if not checkpoints or checkpoints[-1] != n_steps:
         checkpoints.append(n_steps)
-    with _timed("lyapunov_s"):
+    with rec.timed("lyapunov_s"):
         running = classical.lyapunov_exponent(x0, p, n_steps, checkpoints=checkpoints)
     lam = float(running[-1])
-    write_csv(outdir / "lyapunov.csv", {"n": np.array(checkpoints), "lambda_running": running})
-    (outdir / "summary.txt").write_text(f"lambda_L = {lam:.17g} (n_steps = {n_steps})\n")
+    write_csv(rec.outdir / "lyapunov.csv", {"n": np.array(checkpoints), "lambda_running": running})
+    rec.summary(f"lambda_L = {lam:.17g} (n_steps = {n_steps})")
     return {"a": p.a, "gamma": p.gamma, "r": p.r, "lambda_L": lam}
 
 
-def _run_regime_scan(cfg: dict, outdir: Path) -> dict:
+def _run_regime_scan(cfg: dict, rec: _Run) -> dict:
     p = _classical_params(cfg, "regime-scan")
-    with _timed("lyapunov_s"):
+    with rec.timed("lyapunov_s"):
         res = classical.regime_scan(
             p, cfg["n_samples"], cfg["scan_steps"], cfg["lambda_threshold"], cfg["seed"]
         )
     write_csv(
-        outdir / "scan.csv",
+        rec.outdir / "scan.csv",
         {
             "S_z": res.points[:, 0],
             "phi_s": res.points[:, 1],
@@ -393,33 +395,41 @@ def _run_regime_scan(cfg: dict, outdir: Path) -> dict:
             "is_chaotic": res.chaotic_mask.astype(np.int64),
         },
     )
-    (outdir / "summary.txt").write_text(
-        f"chaotic_fraction = {res.chaotic_fraction:.17g}\n"
-        f"n_samples = {cfg['n_samples']}\nn_steps = {cfg['scan_steps']}\n"
-        f"lambda_threshold = {cfg['lambda_threshold']}\n"
+    rec.summary(
+        f"chaotic_fraction = {res.chaotic_fraction:.17g}",
+        f"n_samples = {cfg['n_samples']}", f"n_steps = {cfg['scan_steps']}",
+        f"lambda_threshold = {cfg['lambda_threshold']}",
     )
     return {"a": p.a, "gamma": p.gamma, "r": p.r, "chaotic_fraction": res.chaotic_fraction}
 
 
-def _run_ensemble(cfg: dict, outdir: Path) -> dict:
+def _run_ensemble(cfg: dict, rec: _Run) -> dict:
     conv = _coupling(cfg, "ensemble")
     ang = _angles(cfg, "ensemble")
-    series = _ensemble_series(conv, ang, cfg)
-    write_csv(outdir / "cmoments.csv", _moment_columns(series))
+    series = _ensemble_series(rec, conv, ang, cfg)
+    write_csv(rec.outdir / "cmoments.csv", _moment_columns(series))
     if cfg["dump_pz"]:
         write_csv(
-            outdir / "pz_final.csv",
+            rec.outdir / "pz_final.csv",
             {"m_l": quantum.m_values(conv["l"]), "P": series.pz_final},
         )
     return conv
 
 
-def _fit_report(qs, cs, d, cfg: dict, conv: dict, ang: np.ndarray) -> tuple[list[str], dict]:
+def _growth_fit(d, cfg: dict):
+    """The direct quantum-classical growth fit with the config's fit settings."""
+    return correspondence.fit_growth_exponent(
+        d, intercept=cfg["intercept"], noise_floor_mult=cfg["noise_floor_mult"],
+        delta_cap=cfg["delta_cap"], ma_window=cfg["ma_window"],
+    )
+
+
+def _fit_report(rec: _Run, qs, cs, d, cfg: dict, conv: dict, ang) -> tuple[list[str], dict]:
     """Summary block: lambda_L, lambda_w (both sides), lambda_qc, t*, t_sat, t_b table."""
     lines: list[str] = []
     values: dict = {}
     p = classical.ClassicalParams(conv["a"], conv["gamma"], conv["r"])
-    with _timed("lyapunov_s"):
+    with rec.timed("lyapunov_s"):
         lam_l = classical.lyapunov_exponent(classical.angles_to_state(*ang), p, cfg["lyap_steps"])
     lines.append(f"lambda_L (trajectory at IC, {cfg['lyap_steps']} steps) = {lam_l:.6g}")
     values["lambda_L"] = lam_l
@@ -444,13 +454,7 @@ def _fit_report(qs, cs, d, cfg: dict, conv: dict, ang: np.ndarray) -> tuple[list
     lines.append(f"t_star (difference saturation kick) = {t_star}")
     values["t_star"] = t_star
     try:
-        fit = correspondence.fit_growth_exponent(
-            d,
-            intercept=cfg["intercept"],
-            noise_floor_mult=cfg["noise_floor_mult"],
-            delta_cap=cfg["delta_cap"],
-            ma_window=cfg["ma_window"],
-        )
+        fit = _growth_fit(d, cfg)
         lines.append(
             f"lambda_qc (direct fit, {fit.intercept_mode} intercept) = {fit.lam:.6g}  "
             f"window={fit.window} points={fit.n_points} rms={fit.residual:.3g}"
@@ -462,22 +466,22 @@ def _fit_report(qs, cs, d, cfg: dict, conv: dict, ang: np.ndarray) -> tuple[list
 
     lines.append("break-times:")
     for p_tol in (float(tok) for tok in cfg["p_list"].split(",") if tok.strip()):
-        rec = correspondence.break_time(d, p_tol)
-        shown = rec.t_b if rec.reached else "not reached"
+        bt = correspondence.break_time(d, p_tol)
+        shown = bt.t_b if bt.reached else "not reached"
         lines.append(f"  p={p_tol:g} -> t_b = {shown}")
     return lines, values
 
 
-def _run_compare(cfg: dict, outdir: Path) -> dict:
+def _run_compare(cfg: dict, rec: _Run) -> dict:
     conv = _coupling(cfg, "compare")
     ang = _angles(cfg, "compare")
-    qs = _quantum_series(conv, ang, cfg["n_kicks"])
-    cs = _ensemble_series(conv, ang, cfg)
+    qs = _quantum_series(rec, conv, ang, cfg["n_kicks"])
+    cs = _ensemble_series(rec, conv, ang, cfg)
     d = correspondence.difference_series(qs, cs)
-    write_csv(outdir / "qmoments.csv", _moment_columns(qs))
-    write_csv(outdir / "cmoments.csv", _moment_columns(cs))
+    write_csv(rec.outdir / "qmoments.csv", _moment_columns(qs))
+    write_csv(rec.outdir / "cmoments.csv", _moment_columns(cs))
     write_csv(
-        outdir / "delta.csv",
+        rec.outdir / "delta.csv",
         {"n": d.kicks.astype(np.int64), "delta_Lz": d.delta, "q_Lz": d.q_lz, "c_Lz": d.c_lz,
          "c_se": d.c_se},
     )
@@ -489,12 +493,12 @@ def _run_compare(cfg: dict, outdir: Path) -> dict:
         f"theta_l={cfg['theta_l']} phi_l={cfg['phi_l']}",
         f"n_kicks={cfg['n_kicks']} n_traj={cfg['n_traj']} seed={cfg['seed']}",
     ]
-    fit_lines, values = _fit_report(qs, cs, d, cfg, conv, ang)
-    (outdir / "summary.txt").write_text("\n".join(header + fit_lines) + "\n")
+    fit_lines, values = _fit_report(rec, qs, cs, d, cfg, conv, ang)
+    rec.summary(*header, *fit_lines)
     return {**conv, **values}
 
 
-def _run_break_scaling(cfg: dict, outdir: Path) -> dict:
+def _run_break_scaling(cfg: dict, rec: _Run) -> dict:
     _require(cfg, ["a", "gamma"], "break-scaling")
     if cfg["c"] is not None:
         raise ConfigError("break-scaling sweeps l at fixed gamma: give 'gamma', not 'c'")
@@ -506,50 +510,31 @@ def _run_break_scaling(cfg: dict, outdir: Path) -> dict:
     if not l_values:
         raise ConfigError("key 'l_list' is empty")
     p_tol = cfg["p"]
-    records, rows = [], []
-    fits_rows, dropped = [], []
+    records, dropped = [], []
+    table = {col: [] for col in ("l", "s", "r", "p", "t_b")}
+    fits = {
+        col: [] for col in ("l", "lambda_qc_direct", "window_lo", "window_hi", "rms_log_residual")
+    }
     for idx, l in enumerate(l_values):
         s = choose_s_for_r(l, cfg["r_target"])
-        conv = params_convert(s=s, l=l, gamma=cfg["gamma"])
-        sub_cfg = dict(cfg, seed=cfg["seed"] + idx)
-        qs = _quantum_series({**conv, "a": cfg["a"]}, ang, cfg["n_kicks"])
-        cs = _ensemble_series({**conv, "a": cfg["a"]}, ang, sub_cfg)
+        conv = {**params_convert(s=s, l=l, gamma=cfg["gamma"]), "a": cfg["a"]}
+        qs = _quantum_series(rec, conv, ang, cfg["n_kicks"])
+        cs = _ensemble_series(rec, conv, ang, dict(cfg, seed=cfg["seed"] + idx))
         d = correspondence.difference_series(qs, cs)
-        rec = correspondence.break_time(d, p_tol)
-        records.append(rec)
-        rows.append((l, s, conv["r"], p_tol, -1 if rec.t_b is None else rec.t_b))
+        bt = correspondence.break_time(d, p_tol)
+        records.append(bt)
+        for col, value in zip(table, (l, s, conv["r"], p_tol, -1 if bt.t_b is None else bt.t_b)):
+            table[col].append(value)
         try:
-            direct = correspondence.fit_growth_exponent(
-                d, intercept=cfg["intercept"], noise_floor_mult=cfg["noise_floor_mult"],
-                delta_cap=cfg["delta_cap"], ma_window=cfg["ma_window"],
-            )
-            fits_rows.append((l, direct.lam, direct.window[0], direct.window[1], direct.residual))
+            direct = _growth_fit(d, cfg)
+            for col, value in zip(fits, (l, direct.lam, *direct.window, direct.residual)):
+                fits[col].append(value)
         except ValueError as exc:
             dropped.append(f"direct fit at l={l:g} left out of fits.csv: {exc}")
         del qs, cs, d  # before the next l's draw and state
-    cols = list(zip(*rows))
-    write_csv(
-        outdir / "breaktimes.csv",
-        {
-            "l": np.array(cols[0]),
-            "s": np.array(cols[1], dtype=np.int64),
-            "r": np.array(cols[2]),
-            "p": np.array(cols[3]),
-            "t_b": np.array(cols[4], dtype=np.int64),
-        },
-    )
-    if fits_rows:
-        fcols = list(zip(*fits_rows))
-        write_csv(
-            outdir / "fits.csv",
-            {
-                "l": np.array(fcols[0]),
-                "lambda_qc_direct": np.array(fcols[1]),
-                "window_lo": np.array(fcols[2], dtype=np.int64),
-                "window_hi": np.array(fcols[3], dtype=np.int64),
-                "rms_log_residual": np.array(fcols[4]),
-            },
-        )
+    write_csv(rec.outdir / "breaktimes.csv", table)
+    if fits["l"]:
+        write_csv(rec.outdir / "fits.csv", fits)
     lines = [
         f"tolerance p = {p_tol}",
         f"l sweep: {', '.join(f'{l:g}' for l in l_values)} (s chosen for r ~ {cfg['r_target']})",
@@ -562,20 +547,21 @@ def _run_break_scaling(cfg: dict, outdir: Path) -> dict:
         values["lambda_qc_scaling"] = lam_scaling
     except ValueError as exc:
         lines.append(f"lambda_qc (break-time scaling fit) unavailable: {exc}")
-    if fits_rows:
-        lines.append(f"lambda_qc (direct fit at largest fitted l) = {fits_rows[-1][1]:.6g}")
-        values["lambda_qc_direct"] = fits_rows[-1][1]
-    (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
+    if fits["l"]:
+        lam_direct = fits["lambda_qc_direct"][-1]
+        lines.append(f"lambda_qc (direct fit at largest fitted l) = {lam_direct:.6g}")
+        values["lambda_qc_direct"] = lam_direct
+    rec.summary(*lines)
     return {"gamma": cfg["gamma"], "p": p_tol, **values}
 
 
-def _run_appendix_check(cfg: dict, outdir: Path) -> dict:
+def _run_appendix_check(cfg: dict, rec: _Run) -> dict:
     if cfg["j"] is None:
         raise ConfigError("missing key 'j' required for mode 'appendix-check'")
     mom = liouville.appendix_moments(cfg["j"])
     mc = liouville.vector_model_mc(cfg["j"], cfg["n_samples"], cfg["seed"])
     write_csv(
-        outdir / "appendix.csv",
+        rec.outdir / "appendix.csv",
         {
             "j": [mom.j],
             "qm_Jx2": [mom.qm_jx2],
@@ -590,15 +576,15 @@ def _run_appendix_check(cfg: dict, outdir: Path) -> dict:
             "n_samples": [mc.n_samples],
         },
     )
-    (outdir / "summary.txt").write_text(
-        f"j = {mom.j:g}\n"
-        f"quantum <Jx^2> = {mom.qm_jx2:.10g}\n"
-        f"quantum <Jx^4> = {mom.qm_jx4:.10g}\n"
-        f"classical <Jx^2> = {mom.cl_jx2:.10g}\n"
-        f"classical <Jx^4> = {mom.cl_jx4:.10g}\n"
-        f"delta Jx^4 = {mom.delta_jx4:.10g}\n"
-        f"vector-model MC <Jx^2> = {mc.jx2:.10g} +- {mc.jx2_se:.3g}\n"
-        f"vector-model MC <Jx^4> = {mc.jx4:.10g} +- {mc.jx4_se:.3g}\n"
+    rec.summary(
+        f"j = {mom.j:g}",
+        f"quantum <Jx^2> = {mom.qm_jx2:.10g}",
+        f"quantum <Jx^4> = {mom.qm_jx4:.10g}",
+        f"classical <Jx^2> = {mom.cl_jx2:.10g}",
+        f"classical <Jx^4> = {mom.cl_jx4:.10g}",
+        f"delta Jx^4 = {mom.delta_jx4:.10g}",
+        f"vector-model MC <Jx^2> = {mc.jx2:.10g} +- {mc.jx2_se:.3g}",
+        f"vector-model MC <Jx^4> = {mc.jx4:.10g} +- {mc.jx4_se:.3g}",
     )
     return {"j": mom.j, "delta_Jx4": mom.delta_jx4}
 
@@ -622,13 +608,11 @@ def run(mode: str, cfg: dict) -> int:
         print(f"error: unknown mode {mode!r}; choose from {', '.join(MODES)}", file=sys.stderr)
         return 1
     try:
-        outdir = Path(cfg["outdir"])
-        outdir.mkdir(parents=True, exist_ok=True)
-        _stage_s.clear()
-        _health.clear()
+        rec = _Run(Path(cfg["outdir"]))
+        rec.outdir.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()
-        derived = _RUNNERS[mode](cfg, outdir)
-        _write_manifest(outdir, mode, cfg, derived, time.perf_counter() - t0)
+        derived = _RUNNERS[mode](cfg, rec)
+        _write_manifest(rec, mode, cfg, derived, time.perf_counter() - t0)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,6 +1,9 @@
 import os
+import re
+import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -385,6 +388,46 @@ def test_pool_exception_reaches_caller_and_leaves_no_child(monkeypatch, raising)
         cl._in_order(_fail_in(raising, 0.2 if raising else 30.0), [0, 1])
     assert time.monotonic() - t0 < 10.0
     with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _HoldsLock(Exception):
+    """An exception that pickle cannot take: it holds a lock."""
+
+    def __init__(self):
+        super().__init__("holds a lock")
+        self.lock = threading.Lock()
+
+
+def _unpicklable_in_child(b):
+    if b == 1:
+        raise _HoldsLock()
+    return b
+
+
+def _killed_in_child(b):
+    if b == 1:
+        time.sleep(0.1)
+        os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(30.0)
+    return b
+
+
+@pytest.mark.parametrize(
+    "fn, how", [(_unpicklable_in_child, "exit status 1"), (_killed_in_child, "signal SIGKILL")],
+    ids=["unpicklable-exception", "sigkill"],
+)
+def test_pool_names_a_worker_that_gives_no_result(monkeypatch, fn, how):
+    # block 1 runs in the forked child, which ends without writing a whole result
+    monkeypatch.setattr(cl, "_WORKERS", 2)
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError) as info:
+        cl._in_order(fn, [0, 1])
+    assert time.monotonic() - t0 < 10.0
+    named = re.fullmatch(rf"pool worker 1 \(pid (\d+)\) gave no result: {how}", str(info.value))
+    assert named and int(named[1]) != os.getpid(), str(info.value)
+    assert isinstance(info.value.__cause__, EOFError)
+    with pytest.raises(ChildProcessError):  # reaped once, none left
         os.waitpid(-1, os.WNOHANG)
 
 

@@ -113,7 +113,7 @@ def test_cli_rejects_double_parameterization(tmp_path):
 
 
 def test_numerical_error_exit_code(monkeypatch, tmp_path):
-    def boom(cfg, outdir):
+    def boom(cfg, rec):
         raise FloatingPointError("non-finite tangent growth")
 
     monkeypatch.setitem(cli._RUNNERS, "lyapunov", boom)
@@ -341,6 +341,8 @@ def test_compare_manifest_records_quantum_norm_drift(tmp_path):
 @pytest.mark.parametrize("mode, sets", [
     ("regime-scan", ["a=5", "gamma=1.215", "r=1.1", "n_samples=41", "scan_steps=300"]),
     ("ensemble", [*COMPARE_ARGS, "n_kicks=5", "n_traj=40000", "dump_pz=1"]),
+    ("break-scaling", ["a=5", "gamma=1.215", "theta_s=20", "phi_s=40", "theta_l=160",
+                       "phi_l=130", "l_list=11,22", "n_kicks=5", "n_traj=40000"]),
 ])
 def test_data_files_independent_of_worker_count(monkeypatch, tmp_path, mode, sets):
     outputs = []
@@ -350,6 +352,27 @@ def test_data_files_independent_of_worker_count(monkeypatch, tmp_path, mode, set
         assert cli.run(mode, cli.parse_config(None, [f"outdir={out}", *sets])) == 0
         outputs.append({f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.txt"})
     assert len(outputs[0]) >= 2 and outputs[0] == outputs[1]
+
+
+def test_runs_in_one_process_share_no_state(tmp_path):
+    compare = cli.parse_config(
+        None, [f"outdir={tmp_path / 'c'}", *COMPARE_ARGS, "n_kicks=3", "n_traj=2000",
+               "lyap_steps=100"]
+    )
+    assert cli.run("compare", compare) == 0
+    assert "\n[health]\n" in (tmp_path / "c" / "manifest.txt").read_text()
+    lyapunov = cli.parse_config(
+        None, [f"outdir={tmp_path / 'l'}", *LYAPUNOV_ARGS, "n_steps=200", "sample_every=50"]
+    )
+    assert cli.run("lyapunov", lyapunov) == 0
+    manifest = (tmp_path / "l" / "manifest.txt").read_text()
+    assert "[health]" not in manifest
+    timings = dict(
+        line.split(" = ") for line in manifest.split("\n[timings]\n", 1)[1].splitlines()
+    )
+    for stage in ("quantum_build_s", "quantum_evolution_s", "ensemble_propagation_s"):
+        assert float(timings[stage]) == 0.0, stage
+    assert float(timings["lyapunov_s"]) > 0.0
 
 
 def test_ensemble_mode_seed_changes_output(tmp_path):

@@ -26,16 +26,17 @@ exponents and the whole run, and the shared pool's process count.  Both come fro
 one record per ``run`` call, so runs in one process share nothing.  Data CSVs hold
 no timestamps: reruns with an identical config and seed reproduce them bytewise.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical error.
+Exit codes: 0 success, 1 configuration error, 2 numerical error, 3 internal
+failure, such as a worker process that died (its traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import math
 import sys
 import time
+import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -296,21 +297,7 @@ def _quantum_series(rec: _Run, conv: dict, ang: np.ndarray, n_kicks: int):
     return series
 
 
-def _unmap_large_blocks() -> None:
-    """Unmap every freed block of 4 MiB or more (glibc; elsewhere a no-op).
-
-    glibc raises its mmap threshold to each mapped block it frees, so later
-    8-24 MB draw temporaries sit on the brk heap and stay resident: identical
-    break-scaling runs (2-core Linux, glibc 2.36) peaked at 169 or 185 MB.
-    Trim is at twice the mmap threshold, glibc's own pairing.
-    """
-    if sys.platform.startswith("linux") and hasattr(libc := ctypes.CDLL(None), "mallopt"):
-        libc.mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
-        libc.mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
-
-
 def _ensemble_series(rec: _Run, conv: dict, ang: np.ndarray, cfg: dict):
-    _unmap_large_blocks()
     with rec.timed("ensemble_propagation_s"):
         ens = liouville.build_ensemble(
             conv["s"], conv["l"], *ang, n_traj=cfg["n_traj"], seed=cfg["seed"]
@@ -621,6 +608,9 @@ def run(mode: str, cfg: dict) -> int:
         # domain errors raised by the libraries while running are numerical failures
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 def main(argv: list[str] | None = None) -> int:

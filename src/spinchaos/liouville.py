@@ -14,12 +14,14 @@ density is periodic under 2 pi rotation and reproduces the quantum ratio
 with |J| = sqrt(j(j+1)).  Sampling uses the exact inverse CDF of the
 truncated exponential in Jz~, so no rejection step is needed.
 
-Ensembles are propagated with the stroboscopic map.  Trajectories are drawn
-in fixed-size chunks, one after another, from one master-seeded generator,
-which keeps memory bounded and the Monte Carlo stream a function of
-(seed, n_traj) alone.  Each chunk is cut into fixed tiles that run every kick
-on the forked worker processes that ``classical`` owns; the per-tile moment sums
-are added in tile order, so results depend on the tile size, never the worker count.
+Ensembles are propagated with the stroboscopic map.  The Monte Carlo stream
+is one ``PCG64(seed)`` sequence laid out in fixed-size chunks, each holding its
+four draws (S's z and azimuth, then L's) one after another, so it is a function
+of (seed, n_traj) alone.  No chunk is ever allocated: each fixed tile of
+trajectories advances its own generator to its rows' offsets, draws them and
+runs every kick on the forked worker processes that ``classical`` owns; the
+per-tile moment sums are added in tile order, so results depend on the tile
+size, never the worker count.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ __all__ = [
     "vector_model_mc",
 ]
 
-_CHUNK = 1_000_000  # trajectories drawn together from the generator
-_TILE = 16_384  # trajectories propagated together through every kick
+_CHUNK = 1_000_000  # trajectories whose four draws follow one another in the stream
+_TILE = 16_384  # trajectories drawn and propagated together through every kick
 
 
 def sigma2_for(j: float) -> float:
@@ -96,22 +98,28 @@ def sample_polarized(params: MatchedDensityParams, rng: np.random.Generator, n: 
     The azimuth is uniform; the cloud is then rotated by theta0 about y and
     phi0 about z.
     """
+    return _polarized(params, rng.random(n), rng.uniform(0.0, 2.0 * np.pi, n))
+
+
+def _polarized(params: MatchedDensityParams, u: np.ndarray, phi: np.ndarray):
+    """The unit vectors of :func:`sample_polarized` from its uniform draws u and azimuths phi.
+
+    Each vector depends on its own u and phi only, so a slice of the draws
+    gives that slice of the vectors; u is overwritten.
+    """
     s2 = params.sigma2
     trunc = -math.expm1(-2.0 / s2)  # 1 - e^{-2/sigma^2}
-    # z = 1 - t, in place: a draw holds few n-float temporaries at once
-    z = rng.random(n)
+    z = u  # z = 1 - t, in place
     z *= -trunc
     np.log1p(z, out=z)
     z *= s2
     z += 1.0
     np.clip(z, -1.0, 1.0, out=z)
-    phi = rng.uniform(0.0, 2.0 * np.pi, n)
     rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    vec = np.empty((n, 3))
+    vec = np.empty((len(z), 3))
     vec[:, 0] = rho * np.cos(phi)
     vec[:, 1] = rho * np.sin(phi)
     vec[:, 2] = z
-    del z, phi, rho  # before the rotation allocates its (n, 3) result
     ct, st = math.cos(params.theta0), math.sin(params.theta0)
     cp, sp = math.cos(params.phi0), math.sin(params.phi0)
     ry = np.array([[ct, 0.0, st], [0.0, 1.0, 0.0], [-st, 0.0, ct]])
@@ -133,8 +141,9 @@ class Ensemble:
     """A reproducible trajectory ensemble on S^2 x S^2.
 
     Initial conditions are the product of two matched densities (one per
-    spin).  States are generated lazily in chunks so that arbitrarily large
-    ensembles run in bounded memory.
+    spin).  Nothing is drawn here: :func:`ensemble_evolve`'s tiles each draw
+    their own rows of the seeded stream, so arbitrarily large ensembles run in
+    bounded memory.
     """
 
     s_density: MatchedDensityParams
@@ -145,22 +154,6 @@ class Ensemble:
     def __post_init__(self):
         if self.n_traj < 1:
             raise ValueError("n_traj must be >= 1")
-
-    def iter_chunks(self):
-        """Yield one (6, m) array per chunk (rows Sx, Sy, Sz, Lx, Ly, Lz), deterministically.
-
-        S is drawn before L. The chunk is allocated before the draws; allocated
-        after them, it comes on top of their temporaries and raises peak memory.
-        """
-        rng = np.random.default_rng(self.seed)
-        remaining = self.n_traj
-        while remaining > 0:
-            m = min(_CHUNK, remaining)
-            chunk = np.empty((6, m))
-            chunk[:3] = sample_polarized(self.s_density, rng, m).T
-            chunk[3:] = sample_polarized(self.l_density, rng, m).T
-            yield chunk
-            remaining -= m
 
 
 def build_ensemble(
@@ -222,13 +215,24 @@ def _moments_from_sums(sums, n):
     return mu, se, var_norm, var_se
 
 
-def _tile_sums(cols, p: ClassicalParams, n_kicks: int, l: float):
-    """Run every kick on one tile; its (K, 2, 9) raw sums and final L_z counts.
+def _tile_sums(task, ens: Ensemble, p: ClassicalParams, n_kicks: int):
+    """Draw one tile and run every kick on it; its (K, 2, 9) raw sums and final L_z counts.
 
-    The products are summed by ``einsum``'s own loops, not BLAS: a threaded BLAS
-    dot in each forked worker would oversubscribe the cores, and its sums would
-    depend on the BLAS thread count.
+    ``task`` is ``(b, m, i, t)``: rows i .. i + t of the chunk of m trajectories
+    that starts at trajectory b.  The stream gives each double one PCG64 output,
+    and that chunk's draws sit at offsets 4b (S's z), 4b + m (S's azimuth),
+    4b + 2m and 4b + 3m (L's), so the tile reads each from a generator advanced
+    past the rows before it.  The products are summed by ``einsum``'s own loops,
+    not BLAS: a threaded BLAS dot in each forked worker would oversubscribe the
+    cores, and its sums would depend on the BLAS thread count.
     """
+    b, m, i, t = task
+    draws = [np.random.Generator(np.random.PCG64(ens.seed).advance(4 * b + k * m + i))
+             for k in range(4)]
+    cols = np.empty((6, t))
+    for k, density in enumerate((ens.s_density, ens.l_density)):
+        u, phi = draws[2 * k].random(t), draws[2 * k + 1].uniform(0.0, 2.0 * np.pi, t)
+        cols[3 * k:3 * k + 3] = _polarized(density, u, phi).T
     sums = np.empty((n_kicks + 1, 2, 9))
     dot = partial(np.einsum, "i,i")
     for n in range(n_kicks + 1):
@@ -237,29 +241,31 @@ def _tile_sums(cols, p: ClassicalParams, n_kicks: int, l: float):
                              dot(x, y), dot(x, z), dot(y, z))
         if n < n_kicks:
             cols = _map_cols(*cols, p)
-    return sums, _pz_counts(cols[5], l)
+    return sums, _pz_counts(cols[5], ens.l_density.j)
 
 
 def ensemble_evolve(ens: Ensemble, p: ClassicalParams, n_kicks: int) -> MomentSeries:
     """Propagate every trajectory and record moments at kicks 0..n_kicks.
 
-    Each chunk is cut into tiles of ``_TILE`` trajectories, and each tile runs
-    all kicks in one process of the ``classical`` pool, recording raw moment sums per
-    kick and binning its L_z after the last kick with ``_pz_counts``.  The tile
-    sums are added in tile order, so results depend on the tile size but not on
-    the worker count, and are byte-identical across runs with the same (seed, n_traj).
+    Each chunk of the stream is cut into tiles of ``_TILE`` trajectories, and
+    each tile draws its own rows and runs all kicks in one process of the
+    ``classical`` pool, recording raw moment sums per kick and binning its L_z
+    after the last kick with ``_pz_counts``.  The tile sums are added in tile
+    order, so results depend on the tile size but not on the worker count, and
+    are byte-identical across runs with the same (seed, n_traj).
     """
     if n_kicks < 0:
         raise ValueError("n_kicks must be >= 0")
     K = n_kicks + 1
-    l = ens.l_density.j
+    tasks = []
+    for b in range(0, ens.n_traj, _CHUNK):
+        m = min(_CHUNK, ens.n_traj - b)
+        tasks += [(b, m, i, min(_TILE, m - i)) for i in range(0, m, _TILE)]
     sums = np.zeros((K, 2, 9))
     pz_counts = 0
-    for chunk in ens.iter_chunks():
-        tiles = [chunk[:, i:i + _TILE] for i in range(0, chunk.shape[1], _TILE)]
-        for tile_sums, counts in _in_order(lambda t: _tile_sums(t, p, n_kicks, l), tiles):
-            sums += tile_sums
-            pz_counts += counts
+    for tile_sums, counts in _in_order(lambda task: _tile_sums(task, ens, p, n_kicks), tasks):
+        sums += tile_sums
+        pz_counts += counts
     n_traj = ens.n_traj
     s_mu, s_se, s_var, s_var_se = _moments_from_sums(sums[:, 0], n_traj)
     l_mu, l_se, l_var, l_var_se = _moments_from_sums(sums[:, 1], n_traj)

@@ -5,7 +5,8 @@ from the explicit one-sum formula or dense eigendecomposition-based matrix
 exponentials, map Jacobians from complex-step differentiation of the
 update equations, and the classical L_z marginal from a sorted search over the
 bin edges, so agreement with the package is a genuine cross-check.  The one
-exception, ``ensemble_states``, only gathers an ensemble's own chunks.
+exception, ``ensemble_states``, draws whole chunks with the package's public
+sampler, where the package's ensemble engine draws tile by tile.
 """
 
 import math
@@ -246,8 +247,20 @@ def fd_jacobian(f, x, h=1e-6, wrap_cols=(), richardson=False):
 
 
 def ensemble_states(ens):
-    """All initial conditions of an ensemble as an (n_traj, 6) array."""
-    return np.concatenate([chunk.T for chunk in ens.iter_chunks()], axis=0)
+    """All initial conditions of an ensemble as an (n_traj, 6) array (Sx, Sy, Sz, Lx, Ly, Lz).
+
+    One generator seeded once draws each chunk of ``liouville._CHUNK``
+    trajectories whole, S's sample before L's, which defines the stream.
+    """
+    from spinchaos import liouville as lv
+
+    rng = np.random.default_rng(ens.seed)
+    chunks = []
+    for b in range(0, ens.n_traj, lv._CHUNK):
+        m = min(lv._CHUNK, ens.n_traj - b)
+        s_vec = lv.sample_polarized(ens.s_density, rng, m)
+        chunks.append(np.hstack([s_vec, lv.sample_polarized(ens.l_density, rng, m)]))
+    return np.concatenate(chunks, axis=0)
 
 
 def marginal_pz_classical(states, l):

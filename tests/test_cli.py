@@ -121,6 +121,18 @@ def test_numerical_error_exit_code(monkeypatch, tmp_path):
     assert code == 2
 
 
+def test_internal_failure_exit_code(monkeypatch, tmp_path, capsys):
+    # exit status 1 is kept for configuration errors
+    def dead_worker(cfg, rec):
+        raise RuntimeError("pool worker 1 (pid 4242) gave no result: signal SIGKILL")
+
+    monkeypatch.setitem(cli._RUNNERS, "ensemble", dead_worker)
+    code = cli.run("ensemble", cli.parse_config(None, [f"outdir={tmp_path}"]))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: pool worker 1" in err
+
+
 def test_quantum_mode_artifacts(tmp_path):
     out = tmp_path / "q"
     res = run_cli(
@@ -435,26 +447,25 @@ def test_break_scaling_mode_small(tmp_path):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_ensemble_draw_temporaries_leave_rss_when_freed():
-    # After a 24 MB block is freed, glibc's default serves an 8 MB array from
-    # the heap and keeps it resident after its own free; a fresh process
-    # keeps the pytest process's heap out of it.
+def test_ensemble_draws_hold_no_chunk_in_memory():
+    # Each tile draws its own 16,384 rows, so a 1e6-trajectory ensemble raises
+    # the caller's peak RSS by a few MB, not by a 48 MB chunk and its
+    # temporaries; a fresh process keeps the pytest process's heap out of it.
     script = (
         "import numpy as np\n"
-        "from spinchaos import cli\n"
-        "def rss():\n"
-        "    return int(next(l for l in open('/proc/self/status') if l.startswith('VmRSS')).split()[1])\n"
-        "cli._unmap_large_blocks()\n"
-        "big = np.ones(3_000_000)\n"
-        "del big\n"
-        "a = np.ones(1_000_000)\n"
-        "before = rss()\n"
-        "del a\n"
-        "print(before - rss())\n"
+        "from spinchaos import classical as cl, liouville as lv\n"
+        "def hwm():\n"
+        "    return int(next(l for l in open('/proc/self/status') if l.startswith('VmHWM')).split()[1])\n"
+        "ens = lv.build_ensemble(20, 22, *np.deg2rad([45, 70, 135, 70]), n_traj=1_000_000, seed=7)\n"
+        "p = cl.ClassicalParams(5.0, 1.215, 1.1)\n"
+        "np.random.PCG64  # numpy imports its random module on first use\n"
+        "before = hwm()\n"
+        "lv.ensemble_evolve(ens, p, 1)\n"
+        "print(hwm() - before)\n"
     )
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert int(res.stdout) > 7000  # kB: the 8 MB array left RSS when freed
+    assert int(res.stdout) < 16_000  # kB
 
 
 def test_break_scaling_reports_dropped_direct_fit(monkeypatch, tmp_path):

@@ -166,15 +166,29 @@ def test_ensemble_states_on_sphere_and_reproducible():
 
 def test_ensemble_evolve_matches_direct_propagation(monkeypatch):
     p = cl.ClassicalParams(5.0, 1.215, 1.1)
+    drawn = []  # each spin's vectors, as every tile draws them, in tile order
+    real_polarized = lv._polarized
+
+    def recording(*args):
+        drawn.append(real_polarized(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(lv, "_polarized", recording)
+    monkeypatch.setattr(cl, "_WORKERS", 1)  # a forked worker's draws would go unrecorded
     # 700 trajectories in one chunk, then in chunks of 250, 250 and 200; with
     # tiles of 64 some tiles end inside a chunk and some at its edge
     for chunk, tile in ((lv._CHUNK, lv._TILE), (250, lv._TILE), (250, 64)):
         monkeypatch.setattr(lv, "_CHUNK", chunk)
         monkeypatch.setattr(lv, "_TILE", tile)
         ens = _small_ensemble(n=700)
-        assert sum(1 for _ in ens.iter_chunks()) == math.ceil(700 / chunk)
-        series = lv.ensemble_evolve(ens, p, 5)
         states = ensemble_states(ens)
+        drawn.clear()
+        series = lv.ensemble_evolve(ens, p, 5)
+        starts = [b + i for b in range(0, 700, chunk) for i in range(0, min(chunk, 700 - b), tile)]
+        assert len(drawn) == 2 * len(starts)
+        for start, end, s_vec, l_vec in zip(starts, starts[1:] + [700], drawn[::2], drawn[1::2]):
+            tile_rows = np.hstack([s_vec, l_vec])
+            assert tile_rows.tobytes() == states[start:end].tobytes(), (chunk, tile, start)
         for n in range(6):
             lmean = states[:, 3:].mean(axis=0)
             assert np.max(np.abs(series.l_tilde_mean[n] - lmean)) < 1e-13

@@ -24,7 +24,7 @@ RUNS = {
     "regime-scan": ("regime_scan.cfg", ["n_samples=20", "scan_steps=50"],
                     {"lyapunov_exponent", "write_csv"}),
     "break-scaling": ("break_scaling.cfg", ["l_list=11,22", "n_kicks=5", "n_traj=2000"],
-                      {"evolve_series", "ensemble_evolve", "sample_polarized", "write_csv"}),
+                      {"evolve_series", "ensemble_evolve", "write_csv"}),
 }
 
 

@@ -275,10 +275,10 @@ def _moment_columns(series) -> dict:
     cols: dict = {"n": np.asarray(series.kicks, dtype=np.int64)}
     for label, attr, mag in (("S", "s", series.mag_s), ("L", "l", series.mag_l)):
         for stat in ("mean", "se"):
-            if (vec := getattr(series, f"{attr}_tilde_{stat}", None)) is not None:
+            if (vec := getattr(series, f"{attr}_tilde_{stat}")) is not None:
                 cols.update({f"{label}{c}_{stat}": mag * vec[:, i] for i, c in enumerate("xyz")})
         for suffix in ("", "_se"):
-            if (var := getattr(series, f"var_norm_{attr}{suffix}", None)) is not None:
+            if (var := getattr(series, f"var_norm_{attr}{suffix}")) is not None:
                 cols[f"{label}var_norm{suffix}"] = var
     return cols
 

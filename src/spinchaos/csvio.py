@@ -22,9 +22,8 @@ def write_csv(path, columns: dict) -> None:
     for n, arr in zip(names, arrays):
         if arr.shape[0] != length:
             raise ValueError(f"column {n!r} has length {arr.shape[0]}, expected {length}")
-    formats = ["{:d}" if arr.dtype.kind in "biu" else "{:.17g}" for arr in arrays]
+    row = ",".join("%d" if arr.dtype.kind in "biu" else "%.17g" for arr in arrays) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
         for i in range(0, length, _BLOCK):
-            cells = zip(*(map(f.format, a[i:i + _BLOCK].tolist()) for f, a in zip(formats, arrays)))
-            fh.write("".join(",".join(row) + "\n" for row in cells))
+            fh.write("".join(map(row.__mod__, zip(*(a[i:i + _BLOCK].tolist() for a in arrays)))))

@@ -242,29 +242,46 @@ class Observables:
     var_norm_l: float
 
 
+def _pz(x: np.ndarray) -> np.ndarray:
+    """Column sums of |amplitude|^2 from the float view x, re and im columns added pairwise."""
+    col = np.einsum("ij,ij->j", x, x)
+    return col[0::2] + col[1::2]
+
+
 def observables(state: QuantumState) -> Observables:
-    """Cartesian first moments and normalized variances of S and L."""
-    psi = state.matrix
+    """Cartesian first moments and normalized variances of S and L.
+
+    Every sum is an ``einsum`` reduction over the float view x of the
+    amplitude matrix (re and im columns interleaved), read in place: no BLAS,
+    so no dependence on its thread count, and no full-size temporary.  <S_+>
+    and <L_+> pair each amplitude a with its next neighbour b along m_s or
+    m_l: Re a* b = a_re b_re + a_im b_im and Im a* b = a_re b_im - a_im b_re,
+    summed per row or column and weighted by the ladder coefficients after.
+    """
+    x = np.ascontiguousarray(state.matrix).view(float)
     s, l = state.s, state.l
 
-    prob = np.abs(psi) ** 2
-    norm2 = float(prob.sum())
-    p_ms = prob.sum(axis=1)
-    p_ml = prob.sum(axis=0)
+    p_ms = np.einsum("ij,ij->i", x, x)
+    norm2 = float(p_ms.sum())
+    sz = float(np.einsum("i,i->", m_values(s), p_ms))
+    lz = float(np.einsum("i,i->", m_values(l), _pz(x)))
 
-    sz = float(np.sum(m_values(s) * p_ms))
-    lz = float(np.sum(m_values(l) * p_ml))
-
-    # <S_+>: contract over m_s (rows); <L_+>: contract over m_l (columns)
-    cp_s = _ladder_coeffs(s)
-    cp_l = _ladder_coeffs(l)
-    splus = complex(np.sum(np.conj(psi[:-1, :]) * (cp_s[1:, None] * psi[1:, :])))
-    lplus = complex(np.sum(np.conj(psi[:, :-1]) * (cp_l[None, 1:] * psi[:, 1:])))
+    # <S_+>: pairs of rows, summed per row, then weighted by c_+(m_s - 1)
+    a, b = x[:-1], x[1:]
+    cp_s = _ladder_coeffs(s)[1:]
+    sx = float(np.einsum("i,i->", cp_s, np.einsum("ij,ij->i", a, b)))
+    sy = float(np.einsum("i,i->", cp_s, np.einsum("ij,ij->i", a[:, 0::2], b[:, 1::2])
+                         - np.einsum("ij,ij->i", a[:, 1::2], b[:, 0::2])))
+    # <L_+>: columns one amplitude (two floats) apart, summed per column, then weighted
+    a, b = x[:, :-2], x[:, 2:]
+    cp_l = _ladder_coeffs(l)[1:]
+    cols = np.einsum("ij,ij->j", a, b)
+    lx = float(np.einsum("j,j->", cp_l, cols[0::2] + cols[1::2]))
+    ly = float(np.einsum("j,j->", cp_l, np.einsum("ij,ij->j", a[:, 0::2], b[:, 1::2])
+                         - np.einsum("ij,ij->j", a[:, 1::2], b[:, 0::2])))
 
     s2 = s * (s + 1.0) * norm2
     l2 = l * (l + 1.0) * norm2
-    sx, sy = splus.real, splus.imag
-    lx, ly = lplus.real, lplus.imag
     return Observables(
         sx=sx,
         sy=sy,
@@ -282,10 +299,11 @@ def observables(state: QuantumState) -> Observables:
 def marginal_pz(state: QuantumState) -> np.ndarray:
     """P_z(m_l) = <l,m_l| rho^(l) |l,m_l>, over descending m_l.
 
-    Computed as column sums of |amplitude|^2; the reduced density operator is
-    never formed.
+    Column sums of |amplitude|^2 by one ``einsum`` over the float view, the re
+    and im columns added pairwise after, as in ``observables``: no BLAS, and
+    neither the reduced density operator nor |amplitude|^2 is formed.
     """
-    return np.abs(state.matrix).__pow__(2).sum(axis=0)
+    return _pz(np.ascontiguousarray(state.matrix).view(float))
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +327,11 @@ class QuantumMomentSeries:
     var_norm_l: np.ndarray       # (K,)
     norm_drift: float
     final: QuantumState = field(repr=False)
+    # no Monte Carlo errors; the names match the ensemble's ``MomentSeries``
+    s_tilde_se: None = None
+    l_tilde_se: None = None
+    var_norm_s_se: None = None
+    var_norm_l_se: None = None
 
     @property
     def mag_s(self) -> float:

@@ -4,9 +4,12 @@ Nothing here shares code with the production package: rotation matrices come
 from the explicit one-sum formula or dense eigendecomposition-based matrix
 exponentials, map Jacobians from complex-step differentiation of the
 update equations, and the classical L_z marginal from a sorted search over the
-bin edges, so agreement with the package is a genuine cross-check.  The one
-exception, ``ensemble_states``, draws whole chunks with the package's public
-sampler, where the package's ensemble engine draws tile by tile.
+bin edges, so agreement with the package is a genuine cross-check.  Two
+exceptions use the package: ``ensemble_states`` draws whole chunks
+with the package's public sampler, where the package's ensemble engine draws
+tile by tile, and ``observables_reference`` returns its ``Observables`` from the
+complex |psi|^2 and conjugate-product formula that the float-view sums of
+``observables`` replaced.
 """
 
 import math
@@ -240,6 +243,30 @@ def fd_jacobian(f, x, h=1e-6, wrap_cols=(), richardson=False):
         coarse = fd_jacobian(f, x, h=2 * h, wrap_cols=wrap_cols)
         jac = (4.0 * jac - coarse) / 3.0
     return jac
+
+
+# ---------------------------------------------------------------------------
+# quantum moments
+
+
+def observables_reference(state):
+    """``quantum.Observables`` of a state from |psi|^2 and conjugate products of shifted slices."""
+    from spinchaos.quantum import Observables
+
+    psi, s, l = state.matrix, state.s, state.l
+    prob = np.abs(psi) ** 2
+    norm2 = float(prob.sum())
+    sz = float(np.sum(np.diag(jz_matrix(s)) * prob.sum(axis=1)))
+    lz = float(np.sum(np.diag(jz_matrix(l)) * prob.sum(axis=0)))
+    splus = complex(np.sum(np.conj(psi[:-1, :]) * (np.diag(ladder_plus(s), 1)[:, None] * psi[1:, :])))
+    lplus = complex(np.sum(np.conj(psi[:, :-1]) * (np.diag(ladder_plus(l), 1)[None, :] * psi[:, 1:])))
+    s2, l2 = s * (s + 1.0) * norm2, l * (l + 1.0) * norm2
+    sx, sy, lx, ly = splus.real, splus.imag, lplus.real, lplus.imag
+    return Observables(
+        sx=sx, sy=sy, sz=sz, s2=s2, lx=lx, ly=ly, lz=lz, l2=l2,
+        var_norm_s=(s2 - (sx**2 + sy**2 + sz**2)) / (s * (s + 1.0)),
+        var_norm_l=(l2 - (lx**2 + ly**2 + lz**2)) / (l * (l + 1.0)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ def test_quantum_mode_artifacts(tmp_path):
     final = quantum.evolve_series(state, quantum.build_floquet(4, 5, 5.0, conv["c"]), 6).final
     amps = np.genfromtxt(out / "state_final.csv", delimiter=",", names=True)
     assert np.array_equal(amps["re"] + 1j * amps["im"], final.amplitudes)
-    assert np.array_equal(pz["P"], (np.abs(final.matrix) ** 2).sum(axis=0))
+    assert np.array_equal(pz["P"], quantum.marginal_pz(final))
 
 
 def test_classical_traj_mode(tmp_path):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +14,14 @@ from oracles import (
     dense_rotation,
     jx_matrix,
     jz_matrix,
+    jy_matrix,
     ladder_plus,
+    observables_reference,
     wigner_d_formula,
     wigner_d_mp,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 RNG = np.random.default_rng(20260808)
 
 
@@ -393,18 +397,85 @@ def test_observables_casimir_exact_for_any_state():
 
 
 def test_observables_match_dense_small():
+    # every field against dense J_x, J_y, J_z and the dense Casimirs: the
+    # smallest shapes (one amplitude column pair), half-integers and s > l
     rng = np.random.default_rng(3)
-    s, l = 1.5, 2.0
-    state = random_state(s, l, rng)
-    obs = q.observables(state)
-    psi = state.amplitudes
-    for op, val in [
-        (np.kron(jz_matrix(s), np.eye(q.dim_of(l))), obs.sz),
-        (np.kron(np.eye(q.dim_of(s)), jz_matrix(l)), obs.lz),
-        (np.kron(jx_matrix(s), np.eye(q.dim_of(l))), obs.sx),
-        (np.kron(np.eye(q.dim_of(s)), jx_matrix(l)), obs.lx),
-    ]:
-        assert abs(np.vdot(psi, op @ psi).real - val) < 1e-12
+    for s, l in [(0.5, 0.5), (0.5, 3.0), (1.5, 2.0), (4.0, 2.5)]:
+        state = random_state(s, l, rng)
+        obs = q.observables(state)
+        psi = state.amplitudes
+        eye_s, eye_l = np.eye(q.dim_of(s)), np.eye(q.dim_of(l))
+        means = {}
+        for name, op in [("sx", jx_matrix), ("sy", jy_matrix), ("sz", jz_matrix)]:
+            means[name] = np.vdot(psi, np.kron(op(s), eye_l) @ psi).real
+        for name, op in [("lx", jx_matrix), ("ly", jy_matrix), ("lz", jz_matrix)]:
+            means[name] = np.vdot(psi, np.kron(eye_s, op(l)) @ psi).real
+        casimir_s = sum(np.linalg.matrix_power(op(s), 2) for op in (jx_matrix, jy_matrix, jz_matrix))
+        casimir_l = sum(np.linalg.matrix_power(op(l), 2) for op in (jx_matrix, jy_matrix, jz_matrix))
+        s2 = np.vdot(psi, np.kron(casimir_s, eye_l) @ psi).real
+        l2 = np.vdot(psi, np.kron(eye_s, casimir_l) @ psi).real
+        dense = dict(
+            means,
+            s2=s2,
+            l2=l2,
+            var_norm_s=(s2 - (means["sx"] ** 2 + means["sy"] ** 2 + means["sz"] ** 2)) / (s * (s + 1)),
+            var_norm_l=(l2 - (means["lx"] ** 2 + means["ly"] ** 2 + means["lz"] ** 2)) / (l * (l + 1)),
+        )
+        assert set(dense) == set(vars(obs))
+        for name, value in dense.items():
+            assert abs(getattr(obs, name) - value) < 1e-12, (s, l, name)
+
+
+def test_observables_match_reference_formula_production_scale():
+    # the float-view sums against the complex |psi|^2 formula, on a kicked
+    # random frame state at the production size, to 1e-13 of each field's scale
+    s, l = 140, 154
+    f = q.build_floquet(s, l, 5.0, 1.215 / l)
+    z = random_frame_state(s, l, np.random.default_rng(17))
+    for _ in range(40):
+        z = q._frame_kick(z, f)
+        z /= np.linalg.norm(z)
+    state = q.QuantumState(s, l, z.reshape(-1))
+    obs, ref = q.observables(state), observables_reference(state)
+    mag_s, mag_l = math.sqrt(s * (s + 1)), math.sqrt(l * (l + 1))
+    scales = dict(sx=mag_s, sy=mag_s, sz=mag_s, s2=mag_s**2, lx=mag_l, ly=mag_l, lz=mag_l,
+                  l2=mag_l**2, var_norm_s=1.0, var_norm_l=1.0)
+    assert set(scales) == set(vars(obs))
+    for name, scale in scales.items():
+        assert abs(getattr(obs, name) - getattr(ref, name)) < 1e-13 * scale, name
+    pz = (np.abs(state.matrix) ** 2).sum(axis=0)
+    assert np.max(np.abs(q.marginal_pz(state) - pz)) < 1e-13 * np.max(pz)
+
+
+_OBSERVE = """
+import sys
+import numpy as np
+from spinchaos import quantum as q
+rng = np.random.default_rng(5)
+amps = rng.normal(size=(281, 309)) + 1j * rng.normal(size=(281, 309))
+state = q.QuantumState(140, 154, amps.reshape(-1))
+np.savez(sys.argv[1], np.array(list(vars(q.observables(state)).values())), q.marginal_pz(state))
+"""
+
+
+def test_observables_independent_of_blas_threads(tmp_path):
+    # the moments and the L_z marginal at the production size, with one BLAS
+    # thread and with the count unset: no BLAS call may enter their sums
+    runs = []
+    for threads in ("1", None):
+        env = dict(os.environ)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        path = tmp_path / f"{threads}.npz"
+        res = subprocess.run([sys.executable, "-c", _OBSERVE, str(path)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        with np.load(path) as saved:
+            runs.append([saved[k] for k in sorted(saved.files)])
+    for x, y in zip(*runs):
+        assert x.tobytes() == y.tobytes()
 
 
 def test_marginal_pz_product_state_delta():

@@ -32,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "ClassicalParams",
-    "FixedPointClass",
     "RegimeScanResult",
     "map_step",
     "angles_to_state",
@@ -51,7 +50,6 @@ _WORKERS = min(2, len(os.sched_getaffinity(0)))  # processes that run batch bloc
 
 PARALLEL = "parallel"
 ANTIPARALLEL = "antiparallel"
-FixedPointClass = str  # one of PARALLEL, ANTIPARALLEL
 
 
 @dataclass(frozen=True)
@@ -271,8 +269,8 @@ def tangent_apply(x, v, p: ClassicalParams):
 # trivial fixed points
 
 
-def fixed_point_state(kind: FixedPointClass):
-    """A pole fixed point: both spins up (parallel) or S up / L down (antiparallel)."""
+def fixed_point_state(kind: str):
+    """The pole fixed point of ``kind`` PARALLEL (both spins up) or ANTIPARALLEL (S up, L down)."""
     if kind == PARALLEL:
         return np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0])
     if kind == ANTIPARALLEL:
@@ -280,14 +278,14 @@ def fixed_point_state(kind: FixedPointClass):
     raise ValueError(f"unknown fixed point class {kind!r}")
 
 
-def characteristic_poly(xi, p: ClassicalParams, kind: FixedPointClass):
+def characteristic_poly(xi, p: ClassicalParams, kind: str):
     """[xi^2 - 2 xi cos a + 1]^2 -/+ xi^2 gamma^2 r sin^2 a (parallel/antiparallel)."""
     sign = -1.0 if kind == PARALLEL else 1.0
     quad = xi * xi - 2.0 * np.cos(p.a) * xi + 1.0
     return quad * quad + sign * xi * xi * p.gamma**2 * p.r * np.sin(p.a) ** 2
 
 
-def fixed_point_eigenvalues(p: ClassicalParams, kind: FixedPointClass):
+def fixed_point_eigenvalues(p: ClassicalParams, kind: str):
     """The four non-trivial tangent-map eigenvalues at a pole fixed point.
 
     Roots of the quartic characteristic polynomial; the two trivial unit

@@ -270,9 +270,9 @@ def _write_manifest(rec: _Run, mode: str, cfg: dict, derived: dict, run_s: float
     (rec.outdir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def _moment_columns(series) -> dict:
-    """Per-kick moment columns; the SE columns only where the series has them."""
-    cols: dict = {"n": np.asarray(series.kicks, dtype=np.int64)}
+def _moment_columns(series: correspondence.MomentSeries) -> dict:
+    """Per-kick moment columns; the SE columns only for an ensemble series, which has them."""
+    cols: dict = {"n": series.kicks}
     for label, attr, mag in (("S", "s", series.mag_s), ("L", "l", series.mag_l)):
         for stat in ("mean", "se"):
             if (vec := getattr(series, f"{attr}_tilde_{stat}")) is not None:
@@ -281,6 +281,11 @@ def _moment_columns(series) -> dict:
             if (var := getattr(series, f"var_norm_{attr}{suffix}")) is not None:
                 cols[f"{label}var_norm{suffix}"] = var
     return cols
+
+
+def _dump_pz(rec: _Run, series: correspondence.MomentSeries) -> None:
+    m_l = quantum.m_values(series.l)
+    write_csv(rec.outdir / "pz_final.csv", {"m_l": m_l, "P": series.pz_final})
 
 
 def _quantum_series(rec: _Run, conv: dict, ang: np.ndarray, n_kicks: int):
@@ -314,20 +319,16 @@ def _run_quantum(cfg: dict, rec: _Run) -> dict:
     conv = _coupling(cfg, "quantum")
     ang = _angles(cfg, "quantum")
     series = _quantum_series(rec, conv, ang, cfg["n_kicks"])
-    final = series.final
     write_csv(rec.outdir / "qmoments.csv", _moment_columns(series))
     if cfg["dump_state"]:
         ms = np.repeat(quantum.m_values(conv["s"]), quantum.dim_of(conv["l"]))
         ml = np.tile(quantum.m_values(conv["l"]), quantum.dim_of(conv["s"]))
+        amps = series.final.amplitudes
         write_csv(
-            rec.outdir / "state_final.csv",
-            {"m_s": ms, "m_l": ml, "re": final.amplitudes.real, "im": final.amplitudes.imag},
+            rec.outdir / "state_final.csv", {"m_s": ms, "m_l": ml, "re": amps.real, "im": amps.imag}
         )
     if cfg["dump_pz"]:
-        write_csv(
-            rec.outdir / "pz_final.csv",
-            {"m_l": quantum.m_values(conv["l"]), "P": quantum.marginal_pz(final)},
-        )
+        _dump_pz(rec, series)
     return conv
 
 
@@ -396,10 +397,7 @@ def _run_ensemble(cfg: dict, rec: _Run) -> dict:
     series = _ensemble_series(rec, conv, ang, cfg)
     write_csv(rec.outdir / "cmoments.csv", _moment_columns(series))
     if cfg["dump_pz"]:
-        write_csv(
-            rec.outdir / "pz_final.csv",
-            {"m_l": quantum.m_values(conv["l"]), "P": series.pz_final},
-        )
+        _dump_pz(rec, series)
     return conv
 
 

@@ -1,6 +1,7 @@
 """Quantum-classical correspondence measures.
 
-Everything here post-processes kick-indexed moment series.  The central
+Everything here post-processes kick-indexed moment series: ``MomentSeries``
+is the one record that quantum and ensemble runs both return.  The central
 object is the difference measure
 
     delta_Lz(n) = | <L_z(n)>  -  <L_z(n)>_c |        (units of hbar = 1),
@@ -24,11 +25,12 @@ Fit conventions (all exposed as parameters):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
+    "MomentSeries",
     "DifferenceSeries",
     "GrowthFit",
     "BreakTimeRecord",
@@ -40,6 +42,45 @@ __all__ = [
     "fit_break_scaling",
     "saturation_time",
 ]
+
+
+@dataclass(frozen=True)
+class MomentSeries:
+    """Normalized moments of spins S and L at kicks 0..K-1, from a quantum or an ensemble run.
+
+    ``*_tilde_mean`` are the (K, 3) means <J_i>/sqrt(j(j+1)), ``var_norm_*``
+    the (K,) normalized variances (<J^2> - |<J>|^2)/j(j+1), and ``pz_final``
+    the L_z marginal after the last kick over descending m_l.  Ensemble runs
+    add the Monte Carlo standard errors ``*_se``; quantum runs add the state
+    after the last kick, ``final``, and the largest |norm - 1| of a kick
+    before renormalization, ``norm_drift``.
+    """
+
+    s: float
+    l: float
+    s_tilde_mean: np.ndarray = field(repr=False)
+    l_tilde_mean: np.ndarray = field(repr=False)
+    var_norm_s: np.ndarray = field(repr=False)
+    var_norm_l: np.ndarray = field(repr=False)
+    pz_final: np.ndarray = field(repr=False)
+    s_tilde_se: np.ndarray | None = field(default=None, repr=False)
+    l_tilde_se: np.ndarray | None = field(default=None, repr=False)
+    var_norm_s_se: np.ndarray | None = field(default=None, repr=False)
+    var_norm_l_se: np.ndarray | None = field(default=None, repr=False)
+    final: object = field(default=None, repr=False)  # quantum.QuantumState
+    norm_drift: float | None = None
+
+    @property
+    def kicks(self) -> np.ndarray:
+        return np.arange(len(self.var_norm_l))
+
+    @property
+    def mag_s(self) -> float:
+        return math.sqrt(self.s * (self.s + 1.0))
+
+    @property
+    def mag_l(self) -> float:
+        return math.sqrt(self.l * (self.l + 1.0))
 
 
 @dataclass(frozen=True)
@@ -55,19 +96,19 @@ class DifferenceSeries:
     c_se: np.ndarray       # Monte Carlo SE of c_lz, same units
 
 
-def difference_series(q_series, c_series) -> DifferenceSeries:
+def difference_series(q_series: MomentSeries, c_series: MomentSeries) -> DifferenceSeries:
     """Unnormalized z-axis difference between matched quantum/classical runs.
 
     Both inputs carry normalized tilde moments; they must describe the same
-    quantum number l (same magnitude sqrt(l(l+1))) and kick range.
+    quantum number l and kick range.
     """
     if q_series.l_tilde_mean.shape[0] != c_series.l_tilde_mean.shape[0]:
         raise ValueError(
             f"series length mismatch: quantum {q_series.l_tilde_mean.shape[0]} vs "
             f"classical {c_series.l_tilde_mean.shape[0]}"
         )
-    if abs(q_series.mag_l - c_series.mag_l) > 1e-9 * max(q_series.mag_l, 1.0):
-        raise ValueError("quantum and classical runs use different |L| magnitudes")
+    if q_series.l != c_series.l:
+        raise ValueError(f"quantum and classical runs differ in l: {q_series.l} vs {c_series.l}")
     mag = q_series.mag_l
     q_lz = mag * q_series.l_tilde_mean[:, 2]
     c_lz = mag * c_series.l_tilde_mean[:, 2]
@@ -75,7 +116,7 @@ def difference_series(q_series, c_series) -> DifferenceSeries:
     return DifferenceSeries(
         l=q_series.l,
         mag_l=mag,
-        kicks=np.asarray(q_series.kicks).copy(),
+        kicks=q_series.kicks,
         delta=np.abs(q_lz - c_lz),
         q_lz=q_lz,
         c_lz=c_lz,

@@ -33,16 +33,15 @@ from functools import partial
 import numpy as np
 
 from .classical import ClassicalParams, _in_order, _map_cols
+from .correspondence import MomentSeries
 
 __all__ = [
     "MatchedDensityParams",
     "Ensemble",
-    "MomentSeries",
     "AppendixMoments",
     "VectorModelMC",
     "sigma2_for",
     "big_g",
-    "sample_polarized",
     "initial_offset_jz",
     "build_ensemble",
     "ensemble_evolve",
@@ -85,27 +84,15 @@ class MatchedDensityParams:
     def __post_init__(self):
         object.__setattr__(self, "sigma2", sigma2_for(self.j))
 
-    @property
-    def j_mag(self) -> float:
-        return math.sqrt(self.j * (self.j + 1.0))
 
-
-def sample_polarized(params: MatchedDensityParams, rng: np.random.Generator, n: int):
-    """Draw n unit vectors from the matched density, shape (n, 3).
+def _polarized(params: MatchedDensityParams, u: np.ndarray, phi: np.ndarray):
+    """Unit vectors of the matched density, shape (n, 3), from draws u in [0, 1) and azimuths phi.
 
     Inverse-CDF in z: with t = 1 - Jz~ truncated-exponentially distributed on
     [0, 2] with scale sigma^2, t = -sigma^2 log(1 - u (1 - e^{-2/sigma^2})).
-    The azimuth is uniform; the cloud is then rotated by theta0 about y and
-    phi0 about z.
-    """
-    return _polarized(params, rng.random(n), rng.uniform(0.0, 2.0 * np.pi, n))
-
-
-def _polarized(params: MatchedDensityParams, u: np.ndarray, phi: np.ndarray):
-    """The unit vectors of :func:`sample_polarized` from its uniform draws u and azimuths phi.
-
-    Each vector depends on its own u and phi only, so a slice of the draws
-    gives that slice of the vectors; u is overwritten.
+    The cloud is then rotated by theta0 about y and phi0 about z.  Each vector
+    depends on its own u and phi only, so a slice of the draws gives that
+    slice of the vectors; u is overwritten.
     """
     s2 = params.sigma2
     trunc = -math.expm1(-2.0 / s2)  # 1 - e^{-2/sigma^2}
@@ -175,36 +162,13 @@ def build_ensemble(
     )
 
 
-@dataclass(frozen=True)
-class MomentSeries:
-    """Per-kick normalized ensemble moments with Monte Carlo standard errors.
-
-    ``*_tilde_mean`` are means of the unit-vector components <~J_i>_c; the
-    normalized variance is 1 - |<~J>_c|^2 (the Casimir is exact trajectory by
-    trajectory).  Standard errors on the variance come from the delta method
-    applied to the mean-vector covariance.  ``pz_final`` is the L_z marginal
-    after the last kick, in the 2l+1 unit bins of ``_pz_counts``.
-    """
-
-    mag_s: float
-    mag_l: float
-    n_traj: int
-    kicks: np.ndarray = field(repr=False)
-    s_tilde_mean: np.ndarray = field(repr=False)   # (K, 3)
-    s_tilde_se: np.ndarray = field(repr=False)     # (K, 3)
-    l_tilde_mean: np.ndarray = field(repr=False)
-    l_tilde_se: np.ndarray = field(repr=False)
-    var_norm_s: np.ndarray = field(repr=False)     # (K,)
-    var_norm_s_se: np.ndarray = field(repr=False)
-    var_norm_l: np.ndarray = field(repr=False)
-    var_norm_l_se: np.ndarray = field(repr=False)
-    pz_final: np.ndarray = field(repr=False)       # (2l+1,), descending m_l
-
-
 def _moments_from_sums(sums, n):
     """Mean vector, per-component SE, normalized variance and its SE.
 
-    ``sums`` is (K, 9): the raw sums of x, y, z, xx, yy, zz, xy, xz, yz.
+    ``sums`` is (K, 9): the raw sums of x, y, z, xx, yy, zz, xy, xz, yz.  The
+    normalized variance is 1 - |<~J>_c|^2, since the Casimir is exact
+    trajectory by trajectory; its SE is the delta method applied to the
+    mean-vector covariance.
     """
     mu = sums[:, :3] / n                                     # (K, 3)
     m2 = sums[:, [3, 6, 7, 6, 4, 8, 7, 8, 5]].reshape(-1, 3, 3) / n
@@ -256,12 +220,11 @@ def ensemble_evolve(ens: Ensemble, p: ClassicalParams, n_kicks: int) -> MomentSe
     """
     if n_kicks < 0:
         raise ValueError("n_kicks must be >= 0")
-    K = n_kicks + 1
     tasks = []
     for b in range(0, ens.n_traj, _CHUNK):
         m = min(_CHUNK, ens.n_traj - b)
         tasks += [(b, m, i, min(_TILE, m - i)) for i in range(0, m, _TILE)]
-    sums = np.zeros((K, 2, 9))
+    sums = np.zeros((n_kicks + 1, 2, 9))
     pz_counts = 0
     for tile_sums, counts in _in_order(lambda task: _tile_sums(task, ens, p, n_kicks), tasks):
         sums += tile_sums
@@ -270,19 +233,17 @@ def ensemble_evolve(ens: Ensemble, p: ClassicalParams, n_kicks: int) -> MomentSe
     s_mu, s_se, s_var, s_var_se = _moments_from_sums(sums[:, 0], n_traj)
     l_mu, l_se, l_var, l_var_se = _moments_from_sums(sums[:, 1], n_traj)
     return MomentSeries(
-        mag_s=ens.s_density.j_mag,
-        mag_l=ens.l_density.j_mag,
-        n_traj=n_traj,
-        kicks=np.arange(K),
+        s=ens.s_density.j,
+        l=ens.l_density.j,
         s_tilde_mean=s_mu,
-        s_tilde_se=s_se,
         l_tilde_mean=l_mu,
-        l_tilde_se=l_se,
         var_norm_s=s_var,
-        var_norm_s_se=s_var_se,
         var_norm_l=l_var,
-        var_norm_l_se=l_var_se,
         pz_final=pz_counts / n_traj,
+        s_tilde_se=s_se,
+        l_tilde_se=l_se,
+        var_norm_s_se=s_var_se,
+        var_norm_l_se=l_var_se,
     )
 
 

@@ -39,11 +39,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from .correspondence import MomentSeries
+
 __all__ = [
     "QuantumState",
     "FloquetOperator",
     "Observables",
-    "QuantumMomentSeries",
     "wigner_d",
     "coherent_state",
     "product_state",
@@ -310,46 +311,15 @@ def marginal_pz(state: QuantumState) -> np.ndarray:
 # kick-by-kick moment series
 
 
-@dataclass(frozen=True)
-class QuantumMomentSeries:
-    """Normalized quantum moments at kicks 0..n: <~S>, <~L>, and variances.
-
-    ``norm_drift`` is the largest |norm - 1| of the state after a kick, before
-    it is renormalized; ``final`` is the state after the last kick.
-    """
-
-    s: float
-    l: float
-    kicks: np.ndarray
-    s_tilde_mean: np.ndarray     # (K, 3), components <S_i>/sqrt(s(s+1))
-    l_tilde_mean: np.ndarray     # (K, 3)
-    var_norm_s: np.ndarray       # (K,)
-    var_norm_l: np.ndarray       # (K,)
-    norm_drift: float
-    final: QuantumState = field(repr=False)
-    # no Monte Carlo errors; the names match the ensemble's ``MomentSeries``
-    s_tilde_se: None = None
-    l_tilde_se: None = None
-    var_norm_s_se: None = None
-    var_norm_l_se: None = None
-
-    @property
-    def mag_s(self) -> float:
-        return float(np.sqrt(self.s * (self.s + 1.0)))
-
-    @property
-    def mag_l(self) -> float:
-        return float(np.sqrt(self.l * (self.l + 1.0)))
-
-
-def evolve_series(state: QuantumState, f: FloquetOperator, n_kicks: int) -> QuantumMomentSeries:
+def evolve_series(state: QuantumState, f: FloquetOperator, n_kicks: int) -> MomentSeries:
     """Evolve kick by kick, recording observables at every stroboscopic time.
 
     The state enters the x-frame once (or resumes from the frame amplitudes
     that an earlier call left on it), every kick is two real matrix products,
     and ``observables`` runs on the frame amplitudes with the axes relabelled
     to the lab.  The state leaves the frame once, at the end, so ``final`` is
-    in the |m_s, m_l> basis; with no kick it is ``state`` itself.  Rounding
+    in the |m_s, m_l> basis; with no kick it is ``state`` itself.  The series
+    has no Monte Carlo errors; ``pz_final`` is ``marginal_pz`` of ``final``.  Rounding
     drifts the norm by about 1e-14 per kick; like the classical map, the state
     is renormalized after every kick so that long runs stay on the unit sphere.
     """
@@ -386,14 +356,14 @@ def evolve_series(state: QuantumState, f: FloquetOperator, n_kicks: int) -> Quan
     final = state
     if n_kicks:
         final = QuantumState(state.s, state.l, (u_s @ z @ u_l.T).reshape(-1), _frame=z)
-    return QuantumMomentSeries(
+    return MomentSeries(
         s=state.s,
         l=state.l,
-        kicks=np.arange(K),
         s_tilde_mean=s_mean,
         l_tilde_mean=l_mean,
         var_norm_s=vs,
         var_norm_l=vl,
-        norm_drift=float(drift),
+        pz_final=marginal_pz(final),
         final=final,
+        norm_drift=float(drift),
     )

@@ -32,8 +32,8 @@ class PairedRun:
     ic_deg: tuple
     n_traj: int
     seed: int
-    q: qm.QuantumMomentSeries
-    c: lv.MomentSeries
+    q: corr.MomentSeries
+    c: corr.MomentSeries
     d: corr.DifferenceSeries
     elapsed: float
 

@@ -5,15 +5,17 @@ from the explicit one-sum formula or dense eigendecomposition-based matrix
 exponentials, map Jacobians from complex-step differentiation of the
 update equations, and the classical L_z marginal from a sorted search over the
 bin edges, so agreement with the package is a genuine cross-check.  Two
-exceptions use the package: ``ensemble_states`` draws whole chunks
-with the package's public sampler, where the package's ensemble engine draws
-tile by tile, and ``observables_reference`` returns its ``Observables`` from the
-complex |psi|^2 and conjugate-product formula that the float-view sums of
-``observables`` replaced.
+exceptions use the package: ``sample_polarized`` (and ``ensemble_states``
+through it) maps one generator's draws to unit vectors with the package's
+``_polarized``, where the package's ensemble engine draws tile by tile; and
+``observables_reference`` returns its ``Observables`` from the complex |psi|^2
+and conjugate-product formula that the float-view sums of ``observables``
+replaced.
 """
 
 import math
 from decimal import Decimal, localcontext
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,27 +27,38 @@ def _factorial(x) -> int:
     return math.factorial(n)
 
 
-def wigner_d_formula(j, theta, prec=40):
-    """Direct evaluation of the one-sum rotation-matrix formula.
+def _fill_by_symmetry(n, entry):
+    """The n x n d-matrix from ``entry(a, b)`` on a quarter of its index pairs.
 
-    The alternating sum over k loses ~1e-10 to cancellation near j = 25 in
-    plain double precision, so every term is built in ``prec``-digit decimal
-    arithmetic (exact integer factorials, decimal square roots and powers);
-    only the final conversion of each finished entry rounds to float.
+    Rows a and columns b index m' = j - a and m = j - b.  The exact identities
+    d_{m'm} = (-1)^{m-m'} d_{mm'} = d_{-m,-m'} give every entry from one with
+    a <= b <= n - 1 - a.
     """
-    import mpmath as mp
-
-    j = float(j)
-    n = int(round(2 * j)) + 1
-    ms = j - np.arange(n)
     d = np.empty((n, n))
+    for a in range(n):
+        for b in range(a, n - a):
+            v = entry(a, b)
+            sign = -1.0 if (b - a) % 2 else 1.0
+            d[a, b] = d[n - 1 - b, n - 1 - a] = v
+            d[b, a] = d[n - 1 - a, n - 1 - b] = sign * v
+    return d
+
+
+@lru_cache(maxsize=4)
+def _formula_terms(twoj, prec):
+    """Per entry (a, b): the theta-independent coefficient and the powers of cos, sin of each k.
+
+    The coefficient (-1)^(k + m' - m) sqrt((j+m)! (j-m)! (j+m')! (j-m')!) /
+    ((j+m-k)! k! (j-k-m')! (k-m+m')!) is a ``prec``-digit Decimal.
+    """
+    j = twoj / 2.0
+    n = twoj + 1
+    terms = {}
     with localcontext() as ctx:
         ctx.prec = prec
-        with mp.workdps(prec + 5):
-            c = Decimal(mp.nstr(mp.cos(mp.mpf(theta) / 2), prec, strip_zeros=False))
-            s = Decimal(mp.nstr(mp.sin(mp.mpf(theta) / 2), prec, strip_zeros=False))
-        for a, mprime in enumerate(ms):
-            for b, m in enumerate(ms):
+        for a in range(n):
+            for b in range(a, n - a):
+                mprime, m = j - a, j - b
                 num = Decimal(
                     _factorial(j + m)
                     * _factorial(j - m)
@@ -54,7 +67,7 @@ def wigner_d_formula(j, theta, prec=40):
                 ).sqrt()
                 k_lo = max(0, round(m - mprime))
                 k_hi = min(round(j + m), round(j - mprime))
-                tot = Decimal(0)
+                entry = []
                 for k in range(k_lo, k_hi + 1):
                     den = Decimal(
                         _factorial(j + m - k)
@@ -65,50 +78,81 @@ def wigner_d_formula(j, theta, prec=40):
                     sign = -1 if (k + round(mprime - m)) % 2 else 1
                     pow_c = round(2 * j - 2 * k + m - mprime)
                     pow_s = round(2 * k - m + mprime)
-                    tot += sign * num / den * c**pow_c * s**pow_s
-                d[a, b] = float(tot)
-    return d
+                    entry.append((sign * num / den, pow_c, pow_s))
+                terms[a, b] = entry
+    return terms
+
+
+def wigner_d_formula(j, theta, prec=40):
+    """Direct evaluation of the one-sum rotation-matrix formula.
+
+    The alternating sum over k loses ~1e-10 to cancellation near j = 25 in
+    plain double precision, so every term is built in ``prec``-digit decimal
+    arithmetic (exact integer factorials, decimal square roots and powers);
+    only the final conversion of each finished entry rounds to float.  The
+    theta-independent coefficients are built once per (j, prec) and kept for
+    the next angle, and a quarter of the entries give the rest by symmetry.
+    """
+    import mpmath as mp
+
+    twoj = int(round(2 * float(j)))
+    terms = _formula_terms(twoj, prec)
+    with localcontext() as ctx:
+        ctx.prec = prec
+        with mp.workdps(prec + 5):
+            c = Decimal(mp.nstr(mp.cos(mp.mpf(theta) / 2), prec, strip_zeros=False))
+            s = Decimal(mp.nstr(mp.sin(mp.mpf(theta) / 2), prec, strip_zeros=False))
+        pow_c = [c**p for p in range(twoj + 1)]
+        pow_s = [s**p for p in range(twoj + 1)]
+
+        def entry(a, b):
+            tot = Decimal(0)
+            for coef, pc, ps in terms[a, b]:
+                tot += coef * pow_c[pc] * pow_s[ps]
+            return float(tot)
+
+        return _fill_by_symmetry(twoj + 1, entry)
 
 
 def wigner_d_mp(j, theta, dps=50):
-    """High-precision variant of the same formula, via mpmath."""
+    """High-precision variant of the same formula, via mpmath, filled by the same symmetry."""
     import mpmath as mp
 
     j = float(j)
     n = int(round(2 * j)) + 1
-    ms = [j - i for i in range(n)]
     with mp.workdps(dps):
         c = mp.cos(mp.mpf(theta) / 2)
         s = mp.sin(mp.mpf(theta) / 2)
-        d = np.empty((n, n))
-        for a, mprime in enumerate(ms):
-            for b, m in enumerate(ms):
-                num = mp.sqrt(
-                    mp.factorial(j + m)
-                    * mp.factorial(j - m)
-                    * mp.factorial(j + mprime)
-                    * mp.factorial(j - mprime)
+
+        def entry(a, b):
+            mprime, m = j - a, j - b
+            num = mp.sqrt(
+                mp.factorial(j + m)
+                * mp.factorial(j - m)
+                * mp.factorial(j + mprime)
+                * mp.factorial(j - mprime)
+            )
+            k_lo = max(0, round(m - mprime))
+            k_hi = min(round(j + m), round(j - mprime))
+            tot = mp.mpf(0)
+            for k in range(k_lo, k_hi + 1):
+                den = (
+                    mp.factorial(j + m - k)
+                    * mp.factorial(k)
+                    * mp.factorial(j - k - mprime)
+                    * mp.factorial(k - m + mprime)
                 )
-                k_lo = max(0, round(m - mprime))
-                k_hi = min(round(j + m), round(j - mprime))
-                tot = mp.mpf(0)
-                for k in range(k_lo, k_hi + 1):
-                    den = (
-                        mp.factorial(j + m - k)
-                        * mp.factorial(k)
-                        * mp.factorial(j - k - mprime)
-                        * mp.factorial(k - m + mprime)
-                    )
-                    sign = -1 if (k + round(mprime - m)) % 2 else 1
-                    tot += (
-                        sign
-                        * num
-                        / den
-                        * c ** round(2 * j - 2 * k + m - mprime)
-                        * s ** round(2 * k - m + mprime)
-                    )
-                d[a, b] = float(tot)
-    return d
+                sign = -1 if (k + round(mprime - m)) % 2 else 1
+                tot += (
+                    sign
+                    * num
+                    / den
+                    * c ** round(2 * j - 2 * k + m - mprime)
+                    * s ** round(2 * k - m + mprime)
+                )
+            return float(tot)
+
+        return _fill_by_symmetry(n, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +317,13 @@ def observables_reference(state):
 # classical ensembles
 
 
+def sample_polarized(params, rng, n):
+    """n unit vectors (n, 3) of the matched density ``params``, from n uniforms, then n azimuths."""
+    from spinchaos import liouville as lv
+
+    return lv._polarized(params, rng.random(n), rng.uniform(0.0, 2.0 * np.pi, n))
+
+
 def ensemble_states(ens):
     """All initial conditions of an ensemble as an (n_traj, 6) array (Sx, Sy, Sz, Lx, Ly, Lz).
 
@@ -285,8 +336,8 @@ def ensemble_states(ens):
     chunks = []
     for b in range(0, ens.n_traj, lv._CHUNK):
         m = min(lv._CHUNK, ens.n_traj - b)
-        s_vec = lv.sample_polarized(ens.s_density, rng, m)
-        chunks.append(np.hstack([s_vec, lv.sample_polarized(ens.l_density, rng, m)]))
+        s_vec = sample_polarized(ens.s_density, rng, m)
+        chunks.append(np.hstack([s_vec, sample_polarized(ens.l_density, rng, m)]))
     return np.concatenate(chunks, axis=0)
 
 

@@ -18,7 +18,7 @@ from spinchaos import liouville as lv
 from spinchaos import quantum as qm
 
 from conftest import A_ROT, IC_CHAOTIC, IC_REGULAR, make_paired_run
-from oracles import jx_matrix, jz_matrix, ladder_plus, wigner_d_formula
+from oracles import jx_matrix, jz_matrix, ladder_plus, sample_polarized, wigner_d_formula
 
 
 def report(num: int, name: str, ok: bool, detail: str):
@@ -367,7 +367,7 @@ def test_criterion_8_property_suite(tmp_path):
     # sampling moment matching within 4 SE
     j = 55
     mag = math.sqrt(j * (j + 1))
-    vec = lv.sample_polarized(lv.MatchedDensityParams(j), np.random.default_rng(5), 1_000_000)
+    vec = sample_polarized(lv.MatchedDensityParams(j), np.random.default_rng(5), 1_000_000)
     jz = mag * vec[:, 2]
     se = jz.std(ddof=1) / 1000.0
     checks["sampling moments 4 SE"] = abs(jz.mean() - mag * lv.big_g(lv.sigma2_for(j))) < 4 * se

@@ -21,17 +21,18 @@ def make_diff(delta, l=154, se=None):
     )
 
 
-class FakeSeries:
-    def __init__(self, lz_tilde, l=154, se=None):
-        lz_tilde = np.asarray(lz_tilde, dtype=float)
-        self.l = l
-        self.mag_l = math.sqrt(l * (l + 1.0))
-        self.kicks = np.arange(lz_tilde.size)
-        self.l_tilde_mean = np.zeros((lz_tilde.size, 3))
-        self.l_tilde_mean[:, 2] = lz_tilde
-        self.l_tilde_se = np.zeros((lz_tilde.size, 3))
-        if se is not None:
-            self.l_tilde_se[:, 2] = se
+def make_series(lz_tilde, l=154):
+    """An ensemble-style series whose only nonzero moment is <~L_z>."""
+    lz_tilde = np.asarray(lz_tilde, dtype=float)
+    k = lz_tilde.size
+    l_mean = np.zeros((k, 3))
+    l_mean[:, 2] = lz_tilde
+    return corr.MomentSeries(
+        s=l, l=l, s_tilde_mean=np.zeros((k, 3)), l_tilde_mean=l_mean,
+        var_norm_s=np.zeros(k), var_norm_l=np.zeros(k), pz_final=np.zeros(2 * l + 1),
+        s_tilde_se=np.zeros((k, 3)), l_tilde_se=np.zeros((k, 3)),
+        var_norm_s_se=np.zeros(k), var_norm_l_se=np.zeros(k),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -39,34 +40,34 @@ class FakeSeries:
 
 
 def test_difference_identical_series_is_zero():
-    a = FakeSeries([0.5, 0.4, 0.3])
+    a = make_series([0.5, 0.4, 0.3])
     d = corr.difference_series(a, a)
     assert np.array_equal(d.delta, np.zeros(3))
 
 
 def test_difference_symmetric_under_exchange():
-    a = FakeSeries([0.5, 0.4, 0.3])
-    b = FakeSeries([0.45, 0.42, 0.5])
+    a = make_series([0.5, 0.4, 0.3])
+    b = make_series([0.45, 0.42, 0.5])
     d1 = corr.difference_series(a, b)
     d2 = corr.difference_series(b, a)
     assert np.array_equal(d1.delta, d2.delta)
 
 
 def test_difference_unnormalizes_with_magnitude():
-    a = FakeSeries([1.0])
-    b = FakeSeries([0.0])
+    a = make_series([1.0])
+    b = make_series([0.0])
     d = corr.difference_series(a, b)
     assert abs(d.delta[0] - math.sqrt(154 * 155)) < 1e-12
 
 
 def test_difference_length_mismatch():
     with pytest.raises(ValueError):
-        corr.difference_series(FakeSeries([1, 2]), FakeSeries([1, 2, 3]))
+        corr.difference_series(make_series([1, 2]), make_series([1, 2, 3]))
 
 
 def test_difference_magnitude_mismatch():
     with pytest.raises(ValueError):
-        corr.difference_series(FakeSeries([1, 2]), FakeSeries([1, 2], l=22))
+        corr.difference_series(make_series([1, 2]), make_series([1, 2], l=22))
 
 
 # ---------------------------------------------------------------------------

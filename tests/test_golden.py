@@ -1,10 +1,11 @@
 """Replay contract: every CLI mode reproduces its committed reference outputs.
 
-Each mode runs at a small scale from a shipped config into ``tmp_path`` and
-every data file is compared with ``tests/golden/<mode>/``. Headers, integer
-columns and every non-float token of ``summary.txt`` must match exactly;
-each float must agree to 1e-9 of the largest magnitude in its column (each
-float of ``summary.txt`` is its own column). The files in ``EXACT`` must
+Each run in ``RUNS`` invokes one mode at a small scale from a shipped config
+into ``tmp_path``, and every data file is compared with
+``tests/golden/<run>/``. Headers, integer columns and every non-float token
+of ``summary.txt`` must match exactly; each float must agree to 1e-9 of the
+largest magnitude in its column (each float of ``summary.txt`` is its own
+column). The files in ``EXACT`` must
 equal their reference byte for byte. A second run must reproduce every data
 file byte for byte. ``manifest.txt`` carries timestamps and timings and is not
 compared.
@@ -28,7 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-9
 
-# mode -> (config file, overrides)
+# run -> (config file, overrides); a run is named after its mode unless MODE_OF maps it
 RUNS = {
     "quantum": ("compare_global.cfg", ["n_kicks=20", "dump_state=1", "dump_pz=1", "s=20", "l=22"]),
     "compare": ("compare_mixed.cfg", ["n_kicks=20", "n_traj=50000", "lyap_steps=5000"]),
@@ -38,9 +39,14 @@ RUNS = {
     "regime-scan": ("regime_scan.cfg", ["n_samples=400", "scan_steps=2000"]),
     "classical-traj": ("lyapunov_mixed.cfg", ["n_kicks=50"]),
     "appendix-check": ("appendix_check.cfg", ["n_samples=10000"]),
+    # global chaos stretches any one-ulp change in the draws or the map far past RTOL
+    "ensemble-global": (
+        "compare_global.cfg", ["s=20", "l=22", "n_kicks=60", "n_traj=20000", "dump_pz=1"]
+    ),
 }
+MODE_OF = {"ensemble-global": "ensemble"}
 
-# mode -> data files that must be byte-identical to their reference: the scan's
+# run -> data files that must be byte-identical to their reference: the scan's
 # exponents are elementwise, so neither the worker count nor its blocks move a bit,
 # and one trajectory steps through the same kernels as a batch, bit for bit
 EXACT = {
@@ -53,8 +59,9 @@ _INT = re.compile(r"[-+]?\d+")
 _NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|(?<!\w)[-+]?(?:nan|inf)\b")
 
 
-def run_mode(mode: str, outdir: Path) -> None:
-    config, overrides = RUNS[mode]
+def run_mode(run: str, outdir: Path) -> None:
+    config, overrides = RUNS[run]
+    mode = MODE_OF.get(run, run)
     argv = [mode, "--config", str(ROOT / "configs" / config), "--set", f"outdir={outdir}"]
     for item in overrides:
         argv += ["--set", item]
@@ -104,18 +111,18 @@ def compare_text(got_path: Path, ref_path: Path) -> None:
             _floats_agree([g], [r], where)
 
 
-@pytest.mark.parametrize("mode", list(RUNS))
-def test_mode_replays_golden_outputs(mode, tmp_path):
+@pytest.mark.parametrize("run", list(RUNS))
+def test_mode_replays_golden_outputs(run, tmp_path):
     first, second = tmp_path / "first", tmp_path / "second"
-    run_mode(mode, first)
-    run_mode(mode, second)
-    ref_dir = GOLDEN / mode
+    run_mode(run, first)
+    run_mode(run, second)
+    ref_dir = GOLDEN / run
     names = data_files(first)
     assert names == data_files(ref_dir)
     assert names == data_files(second)
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes(), f"{name}: replay"
-        if name in EXACT.get(mode, ()):
+        if name in EXACT.get(run, ()):
             assert (first / name).read_bytes() == (ref_dir / name).read_bytes(), f"{name}: bytes"
         elif name.endswith(".csv"):
             compare_csv(first / name, ref_dir / name)
@@ -124,10 +131,10 @@ def test_mode_replays_golden_outputs(mode, tmp_path):
 
 
 def regenerate() -> None:
-    for mode in RUNS:
-        target = GOLDEN / mode
+    for run in RUNS:
+        target = GOLDEN / run
         shutil.rmtree(target, ignore_errors=True)
-        run_mode(mode, target)
+        run_mode(run, target)
         (target / "manifest.txt").unlink()
 
 

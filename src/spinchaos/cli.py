@@ -23,8 +23,10 @@ with the largest norm drift of a kick, and modes that evolve, scan or take
 exponents add a ``[timings]`` section: wall seconds of the quantum build (Floquet
 operator and coherent states), quantum evolution, ensemble propagation, Lyapunov
 exponents and the whole run, and the shared pool's process count.  Both come from
-one record per ``run`` call, so runs in one process share nothing.  Data CSVs hold
-no timestamps: reruns with an identical config and seed reproduce them bytewise.
+one record per ``run`` call, so runs in one process share nothing.  Every run ends
+with ``[resources]``: ``getrusage`` of the process and of its reaped children (the
+pool workers).  Data CSVs hold no timestamps: reruns with an identical config and
+seed reproduce them bytewise, for any BLAS thread count (``main`` runs it on one).
 
 Exit codes: 0 success, 1 configuration error, 2 numerical error, 3 internal
 failure, such as a worker process that died (its traceback goes to stderr).
@@ -33,7 +35,9 @@ failure, such as a worker process that died (its traceback goes to stderr).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
+import resource
 import sys
 import time
 import traceback
@@ -263,6 +267,11 @@ def _write_manifest(rec: _Run, mode: str, cfg: dict, derived: dict, run_s: float
     if rec.health:
         lines += ["", "[health]"]
         lines += [f"{key} = {value:.3e}" for key, value in rec.health.items()]
+    own = resource.getrusage(resource.RUSAGE_SELF)
+    kids = resource.getrusage(resource.RUSAGE_CHILDREN)  # reaped children: the pool workers
+    lines += ["", "[resources]", f"cpu_s = {own.ru_utime + own.ru_stime:.6f}",
+              f"children_cpu_s = {kids.ru_utime + kids.ru_stime:.6f}",
+              f"peak_rss_mb = {own.ru_maxrss / 1024:.1f}", f"minor_faults = {own.ru_minflt}"]
     if rec.stage_s:
         stages = ("quantum_build_s", "quantum_evolution_s", "ensemble_propagation_s", "lyapunov_s")
         lines += ["", "[timings]", *(f"{key} = {rec.stage_s.get(key, 0.0):.6f}" for key in stages)]
@@ -611,7 +620,20 @@ def run(mode: str, cfg: dict) -> int:
         return 3
 
 
+def _pin_blas_threads() -> None:
+    """Run numpy's bundled OpenBLAS, if present, on one thread: more threads round differently."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in libs.glob("libscipy_openblas64_*.so"):
+        try:
+            setter = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _pin_blas_threads()
     parser = argparse.ArgumentParser(
         prog="spinchaos",
         description="coupled kicked spins: quantum vs classical Liouville dynamics",

@@ -13,7 +13,8 @@ rotation exp(-i a J_z) is the real d^(j)(a), so one kick is
 
     z <- d_s(a) (D o z) d_l(a)^T,
 
-two real matrix products (Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987)).
+two real matrix products (Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987)),
+applied in place: an evolution holds z and one scratch array, reused by every kick.
 Only d^(j)(pi/2) is built directly: its columns are the J_x eigenvectors from
 one ``eigh`` of the tridiagonal J_x (Feng, Wang, Yang & Jin, Phys. Rev. E 92,
 043307 (2015)), their signs fixed by a ladder rule.  Every other
@@ -204,12 +205,17 @@ def build_floquet(s, l, a: float, c: float) -> FloquetOperator:
     )
 
 
-def _frame_kick(z: np.ndarray, f: FloquetOperator) -> np.ndarray:
-    # d_s (D o z) d_l^T as two real products on the (re, im)-interleaved view;
-    # the right product runs as a left one on the transpose
-    w = (f.d_s @ (f.interaction_phases * z).view(float)).view(complex)
-    w = (f.d_l @ np.ascontiguousarray(w.T).view(float)).view(complex)
-    return np.ascontiguousarray(w.T)
+def _frame_kick(z: np.ndarray, f: FloquetOperator, w: np.ndarray) -> None:
+    # z <- d_s (D o z) d_l^T in place, as two real products on the (re, im)-interleaved
+    # view; the right product runs as a left one on the transpose t, which z's memory
+    # holds in between, into w's memory.  z and w are C-contiguous and of one shape.
+    np.multiply(f.interaction_phases, z, out=z)
+    np.matmul(f.d_s, z.view(float), out=w.view(float))
+    t = z.reshape(z.shape[::-1])
+    t[...] = w.T
+    w = w.reshape(t.shape)
+    np.matmul(f.d_l, t.view(float), out=w.view(float))
+    z[...] = w.T
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +320,16 @@ def marginal_pz(state: QuantumState) -> np.ndarray:
 def evolve_series(state: QuantumState, f: FloquetOperator, n_kicks: int) -> MomentSeries:
     """Evolve kick by kick, recording observables at every stroboscopic time.
 
-    The state enters the x-frame once (or resumes from the frame amplitudes
-    that an earlier call left on it), every kick is two real matrix products,
-    and ``observables`` runs on the frame amplitudes with the axes relabelled
-    to the lab.  The state leaves the frame once, at the end, so ``final`` is
-    in the |m_s, m_l> basis; with no kick it is ``state`` itself.  The series
-    has no Monte Carlo errors; ``pz_final`` is ``marginal_pz`` of ``final``.  Rounding
-    drifts the norm by about 1e-14 per kick; like the classical map, the state
-    is renormalized after every kick so that long runs stay on the unit sphere.
+    The state enters the x-frame once (or resumes from a copy of the frame
+    amplitudes that an earlier call left on it, which stays untouched), every
+    kick is two real matrix products in place in two arrays allocated once per
+    call (z and the product's), and ``observables`` runs on the frame
+    amplitudes with the axes relabelled to the lab.  The state leaves the frame
+    once, at the end, so ``final`` is in the |m_s, m_l> basis; with no kick it
+    is ``state`` itself.  The series has no Monte Carlo errors; ``pz_final`` is
+    ``marginal_pz`` of ``final``.  Rounding drifts the norm by about 1e-14 per
+    kick; like the classical map, the state is renormalized after every kick so
+    that long runs stay on the unit sphere.
     """
     if (state.s, state.l) != (f.s, f.l):
         raise ValueError(
@@ -337,9 +345,8 @@ def evolve_series(state: QuantumState, f: FloquetOperator, n_kicks: int) -> Mome
     mag_s = np.sqrt(state.s * (state.s + 1.0))
     mag_l = np.sqrt(state.l * (state.l + 1.0))
     u_s, u_l = _frame_basis(state.s), _frame_basis(state.l)
-    z = state._frame
-    if z is None:
-        z = u_s.conj().T @ state.matrix @ u_l.conj()
+    z = u_s.conj().T @ state.matrix @ u_l.conj() if state._frame is None else state._frame.copy()
+    w = np.empty_like(z)
     drift = 0.0
     for n in range(K):
         obs = observables(QuantumState(state.s, state.l, z.reshape(-1)))
@@ -349,10 +356,11 @@ def evolve_series(state: QuantumState, f: FloquetOperator, n_kicks: int) -> Mome
         vs[n] = obs.var_norm_s
         vl[n] = obs.var_norm_l
         if n < n_kicks:
-            z = _frame_kick(z, f)
+            _frame_kick(z, f, w)
             norm = np.linalg.norm(z)
             drift = max(drift, abs(norm - 1.0))
             z *= 1.0 / norm
+    del w  # before the frame transform back, which makes two more arrays of z's size
     final = state
     if n_kicks:
         final = QuantumState(state.s, state.l, (u_s @ z @ u_l.T).reshape(-1), _frame=z)

@@ -10,7 +10,8 @@ through it) maps one generator's draws to unit vectors with the package's
 ``_polarized``, where the package's ensemble engine draws tile by tile; and
 ``observables_reference`` returns its ``Observables`` from the complex |psi|^2
 and conjugate-product formula that the float-view sums of ``observables``
-replaced.
+replaced; and ``frame_kick_reference`` is the allocating form of the kick that
+the package now applies in place in reused memory.
 """
 
 import math
@@ -311,6 +312,17 @@ def observables_reference(state):
         var_norm_s=(s2 - (sx**2 + sy**2 + sz**2)) / (s * (s + 1.0)),
         var_norm_l=(l2 - (lx**2 + ly**2 + lz**2)) / (l * (l + 1.0)),
     )
+
+
+def frame_kick_reference(z, f):
+    """One x-frame kick d_s (D o z) d_l^T of ``quantum.FloquetOperator`` f, into fresh arrays.
+
+    The same two real products on the (re, im)-interleaved view as the
+    package's in-place ``_frame_kick``, so the two agree bit for bit.
+    """
+    w = (f.d_s @ (f.interaction_phases * z).view(float)).view(complex)
+    w = (f.d_l @ np.ascontiguousarray(w.T).view(float)).view(complex)
+    return np.ascontiguousarray(w.T)
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,21 @@ def test_compare_manifest_records_timings(tmp_path):
         assert "timings" not in (tmp_path / name).read_text()
 
 
+def test_manifest_records_resources(tmp_path):
+    cfg = cli.parse_config(
+        None, [f"outdir={tmp_path}", *COMPARE_ARGS, "n_kicks=3", "n_traj=2000", "lyap_steps=100"]
+    )
+    assert cli.run("compare", cfg) == 0
+    manifest = (tmp_path / "manifest.txt").read_text()
+    section = manifest.split("\n[resources]\n", 1)[1].split("\n\n", 1)[0]
+    resources = dict(line.split(" = ") for line in section.splitlines())
+    assert list(resources) == ["cpu_s", "children_cpu_s", "peak_rss_mb", "minor_faults"]
+    assert all(float(value) >= 0.0 for value in resources.values()), resources
+    assert manifest.index("[resources]") < manifest.index("[timings]")
+    for name in ("qmoments.csv", "cmoments.csv", "delta.csv", "summary.txt"):
+        assert "minor_faults" not in (tmp_path / name).read_text()
+
+
 def test_regime_scan_manifest_records_lyapunov_time(tmp_path):
     cfg = cli.parse_config(
         None, [f"outdir={tmp_path}", "a=5.0", "gamma=1.215", "r=1.1", "n_samples=5",

@@ -16,8 +16,10 @@ Regenerate the references (see ``tests/golden/README.md`` for when) with
 """
 
 import math
+import os
 import re
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -59,13 +61,17 @@ _INT = re.compile(r"[-+]?\d+")
 _NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|(?<!\w)[-+]?(?:nan|inf)\b")
 
 
-def run_mode(run: str, outdir: Path) -> None:
+def cli_argv(run: str, outdir: Path) -> list[str]:
     config, overrides = RUNS[run]
-    mode = MODE_OF.get(run, run)
-    argv = [mode, "--config", str(ROOT / "configs" / config), "--set", f"outdir={outdir}"]
+    argv = [MODE_OF.get(run, run), "--config", str(ROOT / "configs" / config),
+            "--set", f"outdir={outdir}"]
     for item in overrides:
         argv += ["--set", item]
-    assert cli.main(argv) == 0, mode
+    return argv
+
+
+def run_mode(run: str, outdir: Path) -> None:
+    assert cli.main(cli_argv(run, outdir)) == 0, run
 
 
 def data_files(outdir: Path) -> list[str]:
@@ -128,6 +134,25 @@ def test_mode_replays_golden_outputs(run, tmp_path):
             compare_csv(first / name, ref_dir / name)
         else:
             compare_text(first / name, ref_dir / name)
+
+
+@pytest.mark.parametrize("run", ["quantum", "compare"])
+def test_data_files_independent_of_blas_threads(run, tmp_path):
+    # the CLI runs BLAS on one thread, so every data file is the same, byte for
+    # byte, in fresh processes with OPENBLAS_NUM_THREADS=1 and with it unset
+    outputs = []
+    for threads in ("1", None):
+        env = dict(os.environ)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        out = tmp_path / str(threads)
+        res = subprocess.run([sys.executable, "-m", "spinchaos.cli", *cli_argv(run, out)], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        outputs.append({name: (out / name).read_bytes() for name in data_files(out)})
+    assert outputs[0] == outputs[1]
 
 
 def regenerate() -> None:

@@ -12,6 +12,7 @@ from spinchaos import quantum as q
 from oracles import (
     dense_floquet,
     dense_rotation,
+    frame_kick_reference,
     jx_matrix,
     jz_matrix,
     jy_matrix,
@@ -35,6 +36,12 @@ def random_state(s, l, rng=RNG):
 def random_frame_state(s, l, rng):
     """Normalized random x-frame amplitudes, the input of ``q._frame_kick``."""
     return random_state(s, l, rng).matrix.copy()
+
+
+def raw_kick(z, f):
+    """One kick by ``q._frame_kick``, in place on z with fresh scratch arrays, not renormalized."""
+    q._frame_kick(z, f, np.empty_like(z))
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +353,7 @@ def test_unitarity_random_parameters():
         f = q.build_floquet(s, l, rng.uniform(0, 2 * np.pi), rng.uniform(-4, 4))
         z = random_frame_state(s, l, rng)
         # raw single kick, no renormalization
-        assert abs(np.linalg.norm(q._frame_kick(z, f)) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(raw_kick(z, f)) - 1.0) < 1e-12
 
 
 def test_norm_preserved_200_kicks_production_scale():
@@ -360,7 +367,7 @@ def test_norm_preserved_200_kicks_production_scale():
     out = q.evolve_series(state, f, 200).final
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
     # raw single-kick application (no renormalization) is unitary to 1e-12
-    raw = q._frame_kick(random_frame_state(s, l, np.random.default_rng(5)), f)
+    raw = raw_kick(random_frame_state(s, l, np.random.default_rng(5)), f)
     assert abs(np.linalg.norm(raw) - 1.0) < 1e-12
 
 
@@ -433,7 +440,7 @@ def test_observables_match_reference_formula_production_scale():
     f = q.build_floquet(s, l, 5.0, 1.215 / l)
     z = random_frame_state(s, l, np.random.default_rng(17))
     for _ in range(40):
-        z = q._frame_kick(z, f)
+        z = raw_kick(z, f)
         z /= np.linalg.norm(z)
     state = q.QuantumState(s, l, z.reshape(-1))
     obs, ref = q.observables(state), observables_reference(state)
@@ -516,6 +523,69 @@ def test_evolve_series_matches_single_shot():
     obs = q.observables(series.final)
     assert abs(series.l_tilde_mean[-1, 2] * series.mag_l - obs.lz) < 1e-10
     assert abs(series.var_norm_l[-1] - obs.var_norm_l) < 1e-12
-    # evolving in two legs through the final state gives the same amplitudes
-    split = q.evolve_series(q.evolve_series(state, f, 3).final, f, 4).final
+    # evolving in two legs through the final state gives the same amplitudes,
+    # and the second leg leaves the first one's frame amplitudes as they were
+    middle = q.evolve_series(state, f, 3).final
+    frame = middle._frame.copy()
+    split = q.evolve_series(middle, f, 4).final
+    assert np.array_equal(middle._frame, frame)
     assert np.array_equal(split.amplitudes, series.final.amplitudes)
+
+
+def _evolve_reference(state, f, n_kicks):
+    """``evolve_series``'s loop with the allocating kick: frame amplitudes, final and moments."""
+    u_s, u_l = q._frame_basis(state.s), q._frame_basis(state.l)
+    mag_s, mag_l = np.sqrt(state.s * (state.s + 1.0)), np.sqrt(state.l * (state.l + 1.0))
+    z = u_s.conj().T @ state.matrix @ u_l.conj()
+    moments = []
+    for n in range(n_kicks + 1):
+        obs = q.observables(q.QuantumState(state.s, state.l, z.reshape(-1)))
+        moments.append([obs.sz / mag_s, obs.sx / mag_s, obs.sy / mag_s, obs.lz / mag_l,
+                        obs.lx / mag_l, obs.ly / mag_l, obs.var_norm_s, obs.var_norm_l])
+        if n < n_kicks:
+            z = frame_kick_reference(z, f)
+            z *= 1.0 / np.linalg.norm(z)
+    return z, (u_s @ z @ u_l.T).reshape(-1), np.array(moments)
+
+
+@pytest.mark.parametrize("s, l", [(1.5, 2), (10, 11), (40, 44)])
+def test_evolve_series_in_place_kicks_match_allocating_kicks_bitwise(s, l):
+    # the in-place kick in reused arrays against the allocating reference kick,
+    # for half-integer, non-square and larger shapes: every bit of the final
+    # amplitudes, the frame amplitudes and the per-kick moments
+    f = q.build_floquet(s, l, 5.0, 2.835 / math.sqrt(s * (s + 1)))
+    state = q.product_state(s, l, q.coherent_state(s, 0.8, 1.2), q.coherent_state(l, 2.4, 0.3))
+    series = q.evolve_series(state, f, 25)
+    frame, final, moments = _evolve_reference(state, f, 25)
+    assert np.array_equal(series.final._frame, frame)
+    assert np.array_equal(series.final.amplitudes, final)
+    got = np.column_stack([series.s_tilde_mean, series.l_tilde_mean, series.var_norm_s,
+                           series.var_norm_l])
+    assert got.tobytes() == moments.tobytes()
+
+
+_FAULTS = """
+import resource
+import numpy as np
+from spinchaos import quantum as q
+s, l = 140, 154
+f = q.build_floquet(s, l, 5.0, 2.835 / np.sqrt(s * (s + 1)))
+state = q.product_state(s, l, q.coherent_state(s, 0.8, 1.2), q.coherent_state(l, 2.4, 0.3))
+faults = []
+for n_kicks in (1, 1, 101):  # the first call warms up
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    q.evolve_series(state, f, n_kicks)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults[2] - faults[1])
+"""
+
+
+def test_kicks_reuse_their_memory():
+    # 100 extra kicks at the production size add almost no minor page faults:
+    # an allocating kick faults in about 490 fresh pages, 49,000 per 100 kicks
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", _FAULTS], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) < 1000

@@ -19,14 +19,15 @@ Exactly one coupling parameterization may be given: quantum ``c`` or scaled
 
 Every run writes ``manifest.txt`` (config echo, derived parameters, code version,
 timestamps, seed).  Modes that evolve a quantum state add a ``[health]`` section
-with the largest norm drift of a kick, and modes that evolve, scan or take
-exponents add a ``[timings]`` section: wall seconds of the quantum build (Floquet
-operator and coherent states), quantum evolution, ensemble propagation, Lyapunov
-exponents and the whole run, and the shared pool's process count.  Both come from
-one record per ``run`` call, so runs in one process share nothing.  Every run ends
-with ``[resources]``: ``getrusage`` of the process and of its reaped children (the
-pool workers).  Data CSVs hold no timestamps: reruns with an identical config and
-seed reproduce them bytewise, for any BLAS thread count (``main`` runs it on one).
+with the largest norm drift of a kick.  Every run adds ``[resources]``:
+``getrusage`` of the process, and of the children it reaped since the run
+started (the pool workers); then ``[timings]``: wall seconds of the quantum build
+(Floquet operator and coherent states), quantum evolution, ensemble propagation,
+Lyapunov exponents, data-file writes and the whole run, and the shared pool's
+process count.  All come from one record per ``run`` call, so runs in one
+process share nothing.  Data CSVs hold no timestamps: reruns with an identical
+config and seed reproduce them bytewise, for any BLAS thread count (``main``
+runs it on one).
 
 Exit codes: 0 success, 1 configuration error, 2 numerical error, 3 internal
 failure, such as a worker process that died (its traceback goes to stderr).
@@ -227,16 +228,23 @@ def _angles(cfg: dict, mode: str) -> np.ndarray:
 # artifacts
 
 
+def _children_cpu_s() -> float:
+    kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return kids.ru_utime + kids.ru_stime
+
+
 @dataclass
 class _Run:
     """Per-run record from ``run()``: output directory, stage seconds, health figures.
 
     Stage seconds sum over an l sweep, health figures keep their largest; scalars only.
+    ``children_cpu0`` is the CPU time of the children reaped before the run started.
     """
 
     outdir: Path
     stage_s: dict[str, float] = field(default_factory=dict)
     health: dict[str, float] = field(default_factory=dict)
+    children_cpu0: float = field(default_factory=_children_cpu_s)
 
     @contextmanager
     def timed(self, stage: str):
@@ -246,6 +254,11 @@ class _Run:
             yield
         finally:
             self.stage_s[stage] = self.stage_s.get(stage, 0.0) + time.perf_counter() - t0
+
+    def write(self, name: str, columns: dict) -> None:
+        """Write one data file into the output directory, timed as ``csv_write_s``."""
+        with self.timed("csv_write_s"):
+            write_csv(self.outdir / name, columns)
 
     def summary(self, *lines: str) -> None:
         (self.outdir / "summary.txt").write_text("\n".join(lines) + "\n")
@@ -268,14 +281,13 @@ def _write_manifest(rec: _Run, mode: str, cfg: dict, derived: dict, run_s: float
         lines += ["", "[health]"]
         lines += [f"{key} = {value:.3e}" for key, value in rec.health.items()]
     own = resource.getrusage(resource.RUSAGE_SELF)
-    kids = resource.getrusage(resource.RUSAGE_CHILDREN)  # reaped children: the pool workers
     lines += ["", "[resources]", f"cpu_s = {own.ru_utime + own.ru_stime:.6f}",
-              f"children_cpu_s = {kids.ru_utime + kids.ru_stime:.6f}",
+              f"children_cpu_s = {_children_cpu_s() - rec.children_cpu0:.6f}",  # the pool workers
               f"peak_rss_mb = {own.ru_maxrss / 1024:.1f}", f"minor_faults = {own.ru_minflt}"]
-    if rec.stage_s:
-        stages = ("quantum_build_s", "quantum_evolution_s", "ensemble_propagation_s", "lyapunov_s")
-        lines += ["", "[timings]", *(f"{key} = {rec.stage_s.get(key, 0.0):.6f}" for key in stages)]
-        lines += [f"run_s = {run_s:.6f}", f"workers = {classical._WORKERS}"]
+    stages = ("quantum_build_s", "quantum_evolution_s", "ensemble_propagation_s", "lyapunov_s",
+              "csv_write_s")
+    lines += ["", "[timings]", *(f"{key} = {rec.stage_s.get(key, 0.0):.6f}" for key in stages)]
+    lines += [f"run_s = {run_s:.6f}", f"workers = {classical._WORKERS}"]
     (rec.outdir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -290,11 +302,6 @@ def _moment_columns(series: correspondence.MomentSeries) -> dict:
             if (var := getattr(series, f"var_norm_{attr}{suffix}")) is not None:
                 cols[f"{label}var_norm{suffix}"] = var
     return cols
-
-
-def _dump_pz(rec: _Run, series: correspondence.MomentSeries) -> None:
-    m_l = quantum.m_values(series.l)
-    write_csv(rec.outdir / "pz_final.csv", {"m_l": m_l, "P": series.pz_final})
 
 
 def _quantum_series(rec: _Run, conv: dict, ang: np.ndarray, n_kicks: int):
@@ -328,16 +335,14 @@ def _run_quantum(cfg: dict, rec: _Run) -> dict:
     conv = _coupling(cfg, "quantum")
     ang = _angles(cfg, "quantum")
     series = _quantum_series(rec, conv, ang, cfg["n_kicks"])
-    write_csv(rec.outdir / "qmoments.csv", _moment_columns(series))
+    rec.write("qmoments.csv", _moment_columns(series))
     if cfg["dump_state"]:
         ms = np.repeat(quantum.m_values(conv["s"]), quantum.dim_of(conv["l"]))
         ml = np.tile(quantum.m_values(conv["l"]), quantum.dim_of(conv["s"]))
         amps = series.final.amplitudes
-        write_csv(
-            rec.outdir / "state_final.csv", {"m_s": ms, "m_l": ml, "re": amps.real, "im": amps.imag}
-        )
+        rec.write("state_final.csv", {"m_s": ms, "m_l": ml, "re": amps.real, "im": amps.imag})
     if cfg["dump_pz"]:
-        _dump_pz(rec, series)
+        rec.write("pz_final.csv", {"m_l": quantum.m_values(series.l), "P": series.pz_final})
     return conv
 
 
@@ -349,8 +354,8 @@ def _run_classical_traj(cfg: dict, rec: _Run) -> dict:
     traj[0] = x
     for k in range(1, n + 1):
         traj[k] = x = classical.map_step(x, p)
-    write_csv(
-        rec.outdir / "traj.csv",
+    rec.write(
+        "traj.csv",
         {
             "n": np.arange(n + 1),
             **{f"S{c}": traj[:, i] for i, c in enumerate("xyz")},
@@ -370,7 +375,7 @@ def _run_lyapunov(cfg: dict, rec: _Run) -> dict:
     with rec.timed("lyapunov_s"):
         running = classical.lyapunov_exponent(x0, p, n_steps, checkpoints=checkpoints)
     lam = float(running[-1])
-    write_csv(rec.outdir / "lyapunov.csv", {"n": np.array(checkpoints), "lambda_running": running})
+    rec.write("lyapunov.csv", {"n": np.array(checkpoints), "lambda_running": running})
     rec.summary(f"lambda_L = {lam:.17g} (n_steps = {n_steps})")
     return {"a": p.a, "gamma": p.gamma, "r": p.r, "lambda_L": lam}
 
@@ -381,8 +386,8 @@ def _run_regime_scan(cfg: dict, rec: _Run) -> dict:
         res = classical.regime_scan(
             p, cfg["n_samples"], cfg["scan_steps"], cfg["lambda_threshold"], cfg["seed"]
         )
-    write_csv(
-        rec.outdir / "scan.csv",
+    rec.write(
+        "scan.csv",
         {
             "S_z": res.points[:, 0],
             "phi_s": res.points[:, 1],
@@ -404,9 +409,9 @@ def _run_ensemble(cfg: dict, rec: _Run) -> dict:
     conv = _coupling(cfg, "ensemble")
     ang = _angles(cfg, "ensemble")
     series = _ensemble_series(rec, conv, ang, cfg)
-    write_csv(rec.outdir / "cmoments.csv", _moment_columns(series))
+    rec.write("cmoments.csv", _moment_columns(series))
     if cfg["dump_pz"]:
-        _dump_pz(rec, series)
+        rec.write("pz_final.csv", {"m_l": quantum.m_values(series.l), "P": series.pz_final})
     return conv
 
 
@@ -472,10 +477,10 @@ def _run_compare(cfg: dict, rec: _Run) -> dict:
     qs = _quantum_series(rec, conv, ang, cfg["n_kicks"])
     cs = _ensemble_series(rec, conv, ang, cfg)
     d = correspondence.difference_series(qs, cs)
-    write_csv(rec.outdir / "qmoments.csv", _moment_columns(qs))
-    write_csv(rec.outdir / "cmoments.csv", _moment_columns(cs))
-    write_csv(
-        rec.outdir / "delta.csv",
+    rec.write("qmoments.csv", _moment_columns(qs))
+    rec.write("cmoments.csv", _moment_columns(cs))
+    rec.write(
+        "delta.csv",
         {"n": d.kicks.astype(np.int64), "delta_Lz": d.delta, "q_Lz": d.q_lz, "c_Lz": d.c_lz,
          "c_se": d.c_se},
     )
@@ -526,9 +531,9 @@ def _run_break_scaling(cfg: dict, rec: _Run) -> dict:
         except ValueError as exc:
             dropped.append(f"direct fit at l={l:g} left out of fits.csv: {exc}")
         del qs, cs, d  # before the next l's draw and state
-    write_csv(rec.outdir / "breaktimes.csv", table)
+    rec.write("breaktimes.csv", table)
     if fits["l"]:
-        write_csv(rec.outdir / "fits.csv", fits)
+        rec.write("fits.csv", fits)
     lines = [
         f"tolerance p = {p_tol}",
         f"l sweep: {', '.join(f'{l:g}' for l in l_values)} (s chosen for r ~ {cfg['r_target']})",
@@ -554,8 +559,8 @@ def _run_appendix_check(cfg: dict, rec: _Run) -> dict:
         raise ConfigError("missing key 'j' required for mode 'appendix-check'")
     mom = liouville.appendix_moments(cfg["j"])
     mc = liouville.vector_model_mc(cfg["j"], cfg["n_samples"], cfg["seed"])
-    write_csv(
-        rec.outdir / "appendix.csv",
+    rec.write(
+        "appendix.csv",
         {
             "j": [mom.j],
             "qm_Jx2": [mom.qm_jx2],

@@ -5,23 +5,23 @@ The system is a pair of spins S and L with one-kick unitary
     F = exp[-i a (S_z + L_z)] exp[-i c S_x L_x],
 
 acting on the product basis |s,m_s> (x) |l,m_l>.  Kicks are applied in the
-x-frame, where S_x and L_x are diagonal.  Per spin let U = R Phi, with
-R = d^(j)(pi/2) and Phi = diag(i^k) for k = j - m = 0..2j; the frame
-amplitudes of a state matrix psi are z = U_s^dagger psi U_l^*.  In the frame
-the interaction is the phase array D[i_s, i_l] = exp(-i c m_s m_l) and the free
-rotation exp(-i a J_z) is the real d^(j)(a), so one kick is
+x-frame, where S_x and L_x are diagonal.  Per spin let R = d^(j)(pi/2) and
+U = R diag(i^k) for k = j - m = 0..2j; the frame amplitudes of a state matrix
+psi are z = U_s^dagger psi U_l^* = (-i)^(k_s+k_l) o (R_s^T psi R_l).  In the
+frame the interaction is the phase array D[i_s, i_l] = exp(-i c m_s m_l) and the
+free rotation exp(-i a J_z) is the real d^(j)(a), so one kick is
 
     z <- d_s(a) (D o z) d_l(a)^T,
 
-two real matrix products (Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987)),
-applied in place: an evolution holds z and one scratch array, reused by every kick.
+two real matrix products (Haake, Kus & Scharf, Z. Phys. B 65, 381 (1987)), as
+are the frame transforms, all in place in z and one scratch array; U is never formed.
 Only d^(j)(pi/2) is built directly: its columns are the J_x eigenvectors from
 one ``eigh`` of the tridiagonal J_x (Feng, Wang, Yang & Jin, Phys. Rev. E 92,
 043307 (2015)), their signs fixed by a ladder rule.  Every other
-d^(j)(theta), coherent states included, is the one product
-Re[U^dagger exp(-i theta J_z) U].  Mean spin components in the frame are the
-lab ones relabelled cyclically, (x, y, z)_lab = (z, x, y)_frame, the same for
-both spins.
+d^(j)(theta), coherent states included, is Re[U^dagger exp(-i theta J_z) U],
+read off the real R^T diag(cos theta m) R and R^T diag(sin theta m) R.  Mean
+spin components in the frame are the lab ones relabelled cyclically,
+(x, y, z)_lab = (z, x, y)_frame, the same for both spins.
 
 Conventions used throughout this package:
 
@@ -105,24 +105,34 @@ def _wigner_d_half_pi(twoj: int) -> np.ndarray:
     return d
 
 
-def _frame_basis(j: float) -> np.ndarray:
-    """U = d^(j)(pi/2) diag(i^k), k = 0..2j: its columns are the J_x eigenvectors."""
-    phases = np.array([1, 1j, -1, -1j])[np.arange(dim_of(j)) % 4]
-    return _wigner_d_half_pi(dim_of(j) - 1) * phases
+def _d_columns(j: float, theta: float, n_cols: int) -> np.ndarray:
+    """Columns 0..n_cols-1 of d^(j)(theta) = Re[U^dagger exp(-i theta J_z) U], in real arithmetic.
+
+    Entry [k, l] is Re[i^(l-k) (C - iS)], C = R^T diag(cos theta m) R and S the same with sin:
+    C where l - k is even, S where it is odd, negated where (l - k) mod 4 is 2 or 3, that is
+    f_k f_l with f = (1, 1, -1, -1, ...), and -1 for odd k with even l.  The one product
+    R^T diag(cos + sin) R, so signed, has an orthogonality defect of 3.8e-14 for j <= 220.
+    """
+    r, m = _wigner_d_half_pi(dim_of(j) - 1), m_values(j)
+    d = r.T @ (np.cos(theta * m)[:, None] * r[:, :n_cols])
+    sin_part = r.T @ (np.sin(theta * m)[:, None] * r[:, :n_cols])
+    d[0::2, 1::2] = sin_part[0::2, 1::2]
+    np.negative(sin_part[1::2, 0::2], out=d[1::2, 0::2])
+    f = np.array([1.0, 1.0, -1.0, -1.0])[np.arange(m.size) % 4]
+    d *= f[:, None]
+    d *= f[:n_cols]
+    return d
 
 
 def wigner_d(j, theta: float) -> np.ndarray:
     """Wigner d-matrix d^(j)_{m',m}(theta) = <j,m'|exp(-i theta J_y)|j,m>.
 
     Rows and columns are indexed by descending m', m.  The matrix is real
-    orthogonal.  It is the one product d^(j)(theta) = Re[U^dagger
-    exp(-i theta J_z) U] with the frame basis U of ``_frame_basis``, whose
-    d^(j)(pi/2) holds the J_x eigenvectors, signed by the ladder rule of
-    ``_wigner_d_half_pi``.
+    orthogonal.  It is Re[U^dagger exp(-i theta J_z) U], U = d^(j)(pi/2) diag(i^k),
+    built as two real products on the J_x eigenvectors of ``_wigner_d_half_pi``.
     """
     jf = _as_j(j)
-    u = _frame_basis(jf)
-    return np.ascontiguousarray(((u.conj().T * np.exp(-1j * theta * m_values(jf))) @ u).real)
+    return _d_columns(jf, theta, dim_of(jf))
 
 
 def coherent_state(j, theta: float, phi: float) -> np.ndarray:
@@ -131,8 +141,8 @@ def coherent_state(j, theta: float, phi: float) -> np.ndarray:
     The state is maximally polarized along (theta, phi):
     <J_z> = j cos(theta) and <J_x + i J_y> = j e^{i phi} sin(theta).
     """
-    u, m = _frame_basis(_as_j(j)), m_values(j)  # column 0 of wigner_d: one product with U[:, 0]
-    return np.exp(-1j * phi * m) * ((u.conj().T * np.exp(-1j * theta * m)) @ u[:, 0]).real
+    jf = _as_j(j)  # column 0 of wigner_d: two matrix-vector products
+    return np.exp(-1j * phi * m_values(jf)) * _d_columns(jf, theta, 1)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +155,12 @@ class QuantumState:
 
     ``amplitudes`` is a flat complex array of length (2s+1)(2l+1), C-ordered
     with m_s as the major index, both m's descending.  ``matrix`` exposes the
-    same data as a (2s+1, 2l+1) view.  A state returned by ``evolve_series``
-    also keeps its x-frame amplitudes in ``_frame``, where the next call
-    resumes.
+    same data as a (2s+1, 2l+1) view.
     """
 
     s: float
     l: float
     amplitudes: np.ndarray
-    _frame: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "s", _as_j(self.s))
@@ -205,17 +212,42 @@ def build_floquet(s, l, a: float, c: float) -> FloquetOperator:
     )
 
 
-def _frame_kick(z: np.ndarray, f: FloquetOperator, w: np.ndarray) -> None:
-    # z <- d_s (D o z) d_l^T in place, as two real products on the (re, im)-interleaved
-    # view; the right product runs as a left one on the transpose t, which z's memory
-    # holds in between, into w's memory.  z and w are C-contiguous and of one shape.
-    np.multiply(f.interaction_phases, z, out=z)
-    np.matmul(f.d_s, z.view(float), out=w.view(float))
+def _sandwich(z: np.ndarray, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> None:
+    # z <- a z b^T in place for real a and b, as two real products on the (re, im)-
+    # interleaved view; the right product runs as a left one on the transpose t, which
+    # z's memory holds in between, into w's memory.  z and w are C-contiguous, one shape.
+    np.matmul(a, z.view(float), out=w.view(float))
     t = z.reshape(z.shape[::-1])
     t[...] = w.T
     w = w.reshape(t.shape)
-    np.matmul(f.d_l, t.view(float), out=w.view(float))
+    np.matmul(b, t.view(float), out=w.view(float))
     z[...] = w.T
+
+
+def _frame_kick(z: np.ndarray, f: FloquetOperator, w: np.ndarray) -> None:
+    # z <- d_s (D o z) d_l^T in place
+    np.multiply(f.interaction_phases, z, out=z)
+    _sandwich(z, f.d_s, f.d_l, w)
+
+
+def _turn(z: np.ndarray, s: float, l: float, unit: complex) -> None:
+    # z <- unit^(k_s+k_l) o z in place for unit = +-1j, row by row: a broadcast multiply in
+    # place allocates buffers
+    p_s, p_l = (np.array([1, unit, -1, -unit])[np.arange(dim_of(j)) % 4] for j in (s, l))
+    for row, p in zip(z, p_s):
+        row *= p * p_l
+
+
+def _to_frame(z: np.ndarray, w: np.ndarray, s: float, l: float) -> None:
+    # z <- U_s^dagger z U_l^* = (-i)^(k_s+k_l) o (R_s^T z R_l), in place
+    _sandwich(z, _wigner_d_half_pi(dim_of(s) - 1).T, _wigner_d_half_pi(dim_of(l) - 1).T, w)
+    _turn(z, s, l, -1j)
+
+
+def _to_lab(z: np.ndarray, w: np.ndarray, s: float, l: float) -> None:
+    # z <- U_s z U_l^T = R_s (i^(k_s+k_l) o z) R_l^T, in place
+    _turn(z, s, l, 1j)
+    _sandwich(z, _wigner_d_half_pi(dim_of(s) - 1), _wigner_d_half_pi(dim_of(l) - 1), w)
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +352,11 @@ def marginal_pz(state: QuantumState) -> np.ndarray:
 def evolve_series(state: QuantumState, f: FloquetOperator, n_kicks: int) -> MomentSeries:
     """Evolve kick by kick, recording observables at every stroboscopic time.
 
-    The state enters the x-frame once (or resumes from a copy of the frame
-    amplitudes that an earlier call left on it, which stays untouched), every
-    kick is two real matrix products in place in two arrays allocated once per
-    call (z and the product's), and ``observables`` runs on the frame
+    The state enters the x-frame once, in a copy z; the transforms and every
+    kick are two real matrix products in place in z and one scratch array, the
+    call's only arrays of the state's size.  ``observables`` runs on the frame
     amplitudes with the axes relabelled to the lab.  The state leaves the frame
-    once, at the end, so ``final`` is in the |m_s, m_l> basis; with no kick it
+    once, at the end, so ``final`` is z in the |m_s, m_l> basis; with no kick it
     is ``state`` itself.  The series has no Monte Carlo errors; ``pz_final`` is
     ``marginal_pz`` of ``final``.  Rounding drifts the norm by about 1e-14 per
     kick; like the classical map, the state is renormalized after every kick so
@@ -344,9 +375,9 @@ def evolve_series(state: QuantumState, f: FloquetOperator, n_kicks: int) -> Mome
     vl = np.empty(K)
     mag_s = np.sqrt(state.s * (state.s + 1.0))
     mag_l = np.sqrt(state.l * (state.l + 1.0))
-    u_s, u_l = _frame_basis(state.s), _frame_basis(state.l)
-    z = u_s.conj().T @ state.matrix @ u_l.conj() if state._frame is None else state._frame.copy()
+    z = state.matrix.copy()
     w = np.empty_like(z)
+    _to_frame(z, w, state.s, state.l)
     drift = 0.0
     for n in range(K):
         obs = observables(QuantumState(state.s, state.l, z.reshape(-1)))
@@ -360,10 +391,10 @@ def evolve_series(state: QuantumState, f: FloquetOperator, n_kicks: int) -> Mome
             norm = np.linalg.norm(z)
             drift = max(drift, abs(norm - 1.0))
             z *= 1.0 / norm
-    del w  # before the frame transform back, which makes two more arrays of z's size
     final = state
     if n_kicks:
-        final = QuantumState(state.s, state.l, (u_s @ z @ u_l.T).reshape(-1), _frame=z)
+        _to_lab(z, w, state.s, state.l)
+        final = QuantumState(state.s, state.l, z.reshape(-1))
     return MomentSeries(
         s=state.s,
         l=state.l,

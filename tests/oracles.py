@@ -10,8 +10,11 @@ through it) maps one generator's draws to unit vectors with the package's
 ``_polarized``, where the package's ensemble engine draws tile by tile; and
 ``observables_reference`` returns its ``Observables`` from the complex |psi|^2
 and conjugate-product formula that the float-view sums of ``observables``
-replaced; and ``frame_kick_reference`` is the allocating form of the kick that
-the package now applies in place in reused memory.
+replaced; ``frame_kick_reference`` and ``sandwich_reference`` are the
+allocating forms of the kick and the frame-transform products that the package
+applies in place in reused memory; and ``frame_basis_reference`` is the complex
+frame basis U = d(pi/2) diag(i^k) on the package's d(pi/2), which the package's
+real arithmetic replaced.
 """
 
 import math
@@ -314,15 +317,28 @@ def observables_reference(state):
     )
 
 
-def frame_kick_reference(z, f):
-    """One x-frame kick d_s (D o z) d_l^T of ``quantum.FloquetOperator`` f, into fresh arrays.
+def sandwich_reference(a, z, b):
+    """a z b^T for real a and b, into fresh arrays.
 
     The same two real products on the (re, im)-interleaved view as the
-    package's in-place ``_frame_kick``, so the two agree bit for bit.
+    package's in-place ``_sandwich``, so the two agree bit for bit.
     """
-    w = (f.d_s @ (f.interaction_phases * z).view(float)).view(complex)
-    w = (f.d_l @ np.ascontiguousarray(w.T).view(float)).view(complex)
+    w = (a @ np.ascontiguousarray(z).view(float)).view(complex)
+    w = (b @ np.ascontiguousarray(w.T).view(float)).view(complex)
     return np.ascontiguousarray(w.T)
+
+
+def frame_kick_reference(z, f):
+    """One x-frame kick d_s (D o z) d_l^T of ``quantum.FloquetOperator`` f, into fresh arrays."""
+    return sandwich_reference(f.d_s, f.interaction_phases * z, f.d_l)
+
+
+def frame_basis_reference(j):
+    """The complex frame basis U = d^(j)(pi/2) diag(i^k), k = 0..2j: the J_x eigenvectors."""
+    from spinchaos import quantum as q
+
+    n = q.dim_of(j)
+    return q._wigner_d_half_pi(n - 1) * np.array([1, 1j, -1, -1j])[np.arange(n) % 4]
 
 
 # ---------------------------------------------------------------------------

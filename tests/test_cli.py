@@ -295,9 +295,9 @@ def test_compare_manifest_records_timings(tmp_path):
     )
     assert list(timings) == [
         "quantum_build_s", "quantum_evolution_s", "ensemble_propagation_s", "lyapunov_s",
-        "run_s", "workers",
+        "csv_write_s", "run_s", "workers",
     ]
-    stages_s = [float(timings[key]) for key in list(timings)[:4]]
+    stages_s = [float(timings[key]) for key in list(timings)[:5]]
     assert all(t > 0.0 for t in stages_s), timings
     assert sum(stages_s) <= float(timings["run_s"]) + 1e-5  # each rounded to 1e-6
     assert int(timings["workers"]) == classical._WORKERS
@@ -318,6 +318,21 @@ def test_manifest_records_resources(tmp_path):
     assert manifest.index("[resources]") < manifest.index("[timings]")
     for name in ("qmoments.csv", "cmoments.csv", "delta.csv", "summary.txt"):
         assert "minor_faults" not in (tmp_path / name).read_text()
+
+
+_BURN_CPU = "import time\nt0 = time.process_time()\nwhile time.process_time() - t0 < 0.25:\n    pass\n"
+
+
+def test_children_cpu_counts_only_the_children_a_run_reaped(tmp_path):
+    # a child reaped before the run, such as one a launcher ran, is not the run's
+    res = subprocess.run([sys.executable, "-c", _BURN_CPU], timeout=60)
+    assert res.returncode == 0
+    cfg = cli.parse_config(None, [f"outdir={tmp_path}", *COMPARE_ARGS, "n_kicks=3"])
+    assert cli.run("quantum", cfg) == 0
+    manifest = (tmp_path / "manifest.txt").read_text()
+    section = manifest.split("\n[resources]\n", 1)[1].split("\n\n", 1)[0]
+    resources = dict(line.split(" = ") for line in section.splitlines())
+    assert float(resources["children_cpu_s"]) < 0.05
 
 
 def test_regime_scan_manifest_records_lyapunov_time(tmp_path):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +13,14 @@ from spinchaos import quantum as q
 from oracles import (
     dense_floquet,
     dense_rotation,
+    frame_basis_reference,
     frame_kick_reference,
     jx_matrix,
     jz_matrix,
     jy_matrix,
     ladder_plus,
     observables_reference,
+    sandwich_reference,
     wigner_d_formula,
     wigner_d_mp,
 )
@@ -80,6 +83,62 @@ def test_wigner_d_orthogonality_large_j(j):
         d = q.wigner_d(j, theta)
         defect = np.max(np.abs(d @ d.T - np.eye(d.shape[0])))
         assert defect < 1e-10, f"j={j} theta={theta}: {defect}"
+
+
+def test_wigner_d_orthogonality_at_rounding_level():
+    # the two real products keep the defect at that of d(pi/2), about 2e-15; the
+    # one-product shortcut sigma o (R^T diag(cos + sin) R) reads 3.8e-14 here
+    for j in (37.5, 140, 154, 200, 220):
+        for theta in (1.0, 2.835, 5.0):
+            d = q.wigner_d(j, theta)
+            defect = np.max(np.abs(d @ d.T - np.eye(d.shape[0])))
+            assert defect <= 5e-15, f"j={j} theta={theta}: {defect}"
+
+
+def _rotation_via_frame_basis(j, theta):
+    """U^dagger exp(-i theta J_z) U with the complex frame basis U: d(theta) is its real part."""
+    u = frame_basis_reference(j)
+    return (u.conj().T * np.exp(-1j * theta * np.diag(jz_matrix(j)))) @ u
+
+
+@pytest.mark.parametrize("j", [0.5, 1, 7.5, 40, 154, 220])
+def test_wigner_d_and_coherent_state_match_complex_frame_basis(j):
+    # the real two-product build against the complex one it replaced (the
+    # one-product shortcut sigma o (R^T diag(cos + sin) R) is 2.1e-14 off)
+    for theta in (0.3, 2.0, 5.0):
+        ref = _rotation_via_frame_basis(j, theta).real
+        assert np.max(np.abs(q.wigner_d(j, theta) - ref)) < 1e-14, theta
+        phases = np.exp(-1j * 0.7 * np.diag(jz_matrix(j)))
+        assert np.max(np.abs(q.coherent_state(j, theta, 0.7) - phases * ref[:, 0])) < 1e-14, theta
+
+
+@pytest.mark.parametrize("s, l", [(1.5, 2), (10, 11), (40, 44)])
+def test_frame_transforms_match_complex_frame_basis(s, l):
+    u_s, u_l = frame_basis_reference(s), frame_basis_reference(l)
+    psi = random_state(s, l).matrix
+    z = psi.copy()
+    q._to_frame(z, np.empty_like(z), s, l)
+    assert np.max(np.abs(z - u_s.conj().T @ psi @ u_l.conj())) < 1e-13
+    back = psi.copy()
+    q._to_lab(back, np.empty_like(back), s, l)
+    assert np.max(np.abs(back - u_s @ psi @ u_l.T)) < 1e-13
+
+
+def _traced_peak(fn):
+    """Peak bytes above the start of fn() that ``tracemalloc`` sees; numpy reports its buffers."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wigner_d_allocation_peak():
+    # about three n x n arrays besides the cached d(pi/2); the complex build read 6.2
+    n = q.dim_of(154)
+    q.wigner_d(154, 5.0)  # d(pi/2) into the cache
+    assert _traced_peak(lambda: q.wigner_d(154, 5.0)) < 4 * n * n * 8
 
 
 @pytest.mark.parametrize("j", [0, 0.5, 1, 3, 37.5, 140, 154, 220])
@@ -523,20 +582,21 @@ def test_evolve_series_matches_single_shot():
     obs = q.observables(series.final)
     assert abs(series.l_tilde_mean[-1, 2] * series.mag_l - obs.lz) < 1e-10
     assert abs(series.var_norm_l[-1] - obs.var_norm_l) < 1e-12
-    # evolving in two legs through the final state gives the same amplitudes,
-    # and the second leg leaves the first one's frame amplitudes as they were
+    # evolving in two legs through the final state agrees with one shot, and the
+    # second leg leaves its input state as it was
     middle = q.evolve_series(state, f, 3).final
-    frame = middle._frame.copy()
+    before = middle.amplitudes.copy()
     split = q.evolve_series(middle, f, 4).final
-    assert np.array_equal(middle._frame, frame)
-    assert np.array_equal(split.amplitudes, series.final.amplitudes)
+    assert np.array_equal(middle.amplitudes, before)
+    assert np.max(np.abs(split.amplitudes - series.final.amplitudes)) < 1e-12
 
 
 def _evolve_reference(state, f, n_kicks):
-    """``evolve_series``'s loop with the allocating kick: frame amplitudes, final and moments."""
-    u_s, u_l = q._frame_basis(state.s), q._frame_basis(state.l)
+    """``evolve_series``'s loop with allocating kicks and transforms: final and moments."""
+    r_s, r_l = (q._wigner_d_half_pi(q.dim_of(j) - 1) for j in (state.s, state.l))
+    p_s, p_l = (np.array([1, 1j, -1, -1j])[np.arange(q.dim_of(j)) % 4] for j in (state.s, state.l))
     mag_s, mag_l = np.sqrt(state.s * (state.s + 1.0)), np.sqrt(state.l * (state.l + 1.0))
-    z = u_s.conj().T @ state.matrix @ u_l.conj()
+    z = sandwich_reference(r_s.T, state.matrix, r_l.T) * np.outer(p_s.conj(), p_l.conj())
     moments = []
     for n in range(n_kicks + 1):
         obs = q.observables(q.QuantumState(state.s, state.l, z.reshape(-1)))
@@ -545,23 +605,32 @@ def _evolve_reference(state, f, n_kicks):
         if n < n_kicks:
             z = frame_kick_reference(z, f)
             z *= 1.0 / np.linalg.norm(z)
-    return z, (u_s @ z @ u_l.T).reshape(-1), np.array(moments)
+    return sandwich_reference(r_s, z * np.outer(p_s, p_l), r_l).reshape(-1), np.array(moments)
 
 
 @pytest.mark.parametrize("s, l", [(1.5, 2), (10, 11), (40, 44)])
 def test_evolve_series_in_place_kicks_match_allocating_kicks_bitwise(s, l):
-    # the in-place kick in reused arrays against the allocating reference kick,
-    # for half-integer, non-square and larger shapes: every bit of the final
-    # amplitudes, the frame amplitudes and the per-kick moments
+    # the in-place kicks and frame transforms in reused arrays against allocating
+    # ones, for half-integer, non-square and larger shapes: every bit of the final
+    # amplitudes and of the per-kick moments
     f = q.build_floquet(s, l, 5.0, 2.835 / math.sqrt(s * (s + 1)))
     state = q.product_state(s, l, q.coherent_state(s, 0.8, 1.2), q.coherent_state(l, 2.4, 0.3))
     series = q.evolve_series(state, f, 25)
-    frame, final, moments = _evolve_reference(state, f, 25)
-    assert np.array_equal(series.final._frame, frame)
+    final, moments = _evolve_reference(state, f, 25)
     assert np.array_equal(series.final.amplitudes, final)
     got = np.column_stack([series.s_tilde_mean, series.l_tilde_mean, series.var_norm_s,
                            series.var_norm_l])
     assert got.tobytes() == moments.tobytes()
+
+
+def test_evolve_series_allocation_peak():
+    # z and one scratch array, with the transforms in place: the complex frame
+    # transforms read 5.1 state sizes, and broadcast in-place phase multiplies
+    # would add numpy's ufunc buffers, about one state's size here
+    s, l = 40, 44
+    f = q.build_floquet(s, l, 5.0, 2.835 / math.sqrt(s * (s + 1)))  # d(pi/2) of both into the cache
+    state = q.product_state(s, l, q.coherent_state(s, 0.8, 1.2), q.coherent_state(l, 2.4, 0.3))
+    assert _traced_peak(lambda: q.evolve_series(state, f, 3)) < 2.5 * state.amplitudes.nbytes
 
 
 _FAULTS = """
